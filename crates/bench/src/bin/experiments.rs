@@ -56,12 +56,12 @@
 //!
 //! experiments compare <old.json> <new.json> [--threshold <pct>]
 //!
-//!   diff two BENCH_*.json reports. Timing reports (BENCH_parallel.json
-//!   and friends share the phase schema) gate on pool wall-clock;
-//!   BENCH_sweep.json reports diff cell-by-cell on deterministic metrics.
+//!   diff two BENCH_*.json reports of the same benchmark: rows matched by
+//!   name, `time` gated lower-is-better within the threshold, `work`
+//!   exactly; BENCH_sweep.json cells map to rows of the same diff.
 //!   Exit codes: 0 ok, 1 regression past the threshold (default 25%), 2 on
 //!   parse errors, 3 when the reports are structurally incomparable
-//!   (mixed kinds or missing sweep cells)
+//!   (different benchmarks, or a row or metric on one side only)
 //!
 //! `--threads N` overrides the mcsim-par pool size for the whole run
 //! (equivalent to MCSIM_PAR_THREADS=N).

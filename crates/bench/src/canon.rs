@@ -35,6 +35,14 @@ pub fn canonical_of<T: Serialize>(t: &T) -> String {
     canonical(&t.to_value())
 }
 
+/// [`canonical_of`] plus a trailing newline: the exact bytes of a
+/// checked-in report file.
+pub fn canonical_file<T: Serialize>(t: &T) -> String {
+    let mut s = canonical_of(t);
+    s.push('\n');
+    s
+}
+
 /// 64-bit FNV-1a over a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

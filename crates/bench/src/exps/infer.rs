@@ -5,14 +5,15 @@
 //! asserts every leg is bit-identical to the baseline, reports
 //! plans-predicted/sec per leg plus steady-state allocations per scoring
 //! pass (via the counting allocator installed by the `experiments` binary),
-//! and writes `BENCH_infer.json` in the same phase shape as
-//! `BENCH_parallel.json` so `experiments compare` can diff it.
+//! and writes `BENCH_infer.json` as a [`BenchReport`]: one row per leg,
+//! with the seconds per scoring pass as `time` and the workload size as
+//! `work` (plans/s is plans / pass).
 //!
 //! The model is freshly initialized rather than trained: forward-pass cost
 //! does not depend on the weight values, and skipping training keeps the
 //! benchmark focused on the inference path itself.
 
-use crate::report::Table;
+use crate::report::{BenchReport, Table};
 use crate::scale::{scaled_eval_profile, scaled_pipeline_config, Scale};
 use loam_core::pipeline::prepare_project;
 use loam_core::{AdaptiveCostPredictor, EnvStrategy, FeatureCache, InferWs, PlanExplorer};
@@ -160,6 +161,9 @@ pub fn run(scale: Scale, quick: bool) {
     let (queries, plans) = (w.queries(), w.plans());
     eprintln!("workload: {queries} queries, {plans} candidate plans, {reps} passes/leg");
 
+    // Every leg scores on one thread: the pool spawns scoped workers per
+    // fan-out, and those spawns would land in the allocation probe.
+    let prev_threads = mcsim_par::set_threads(1);
     let cfg = scaled_pipeline_config(scale);
     let model = AdaptiveCostPredictor::new(cfg.seed ^ 0x1f3a, true);
     let ref_sets: Vec<Vec<&PlanTree>> = w.sets.iter().map(|s| s.iter().collect()).collect();
@@ -250,6 +254,7 @@ pub fn run(scale: Scale, quick: bool) {
     );
     let allocs_per_pass = allocation_count() - before;
     set_kernel_mode(prev);
+    mcsim_par::set_threads(prev_threads);
     if allocation_count() > 0 {
         assert_eq!(
             allocs_per_pass, 0,
@@ -269,103 +274,37 @@ pub fn run(scale: Scale, quick: bool) {
     }
     println!("{}", t.render());
 
-    let json = report_json(scale, queries, plans, reps, allocs_per_pass, &legs);
-    let path = "BENCH_infer.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    bench_report(scale, queries, plans, reps, allocs_per_pass, &legs).write("BENCH_infer.json");
 }
 
-/// Renders the report in the `BenchReport` phase shape: every optimized leg
-/// becomes a phase whose `serial_s` is the single-scalar baseline and whose
-/// `parallel_s` is the leg itself (the `compare` subcommand ignores the
-/// inference-specific extras).
-fn report_json(
+/// The legs as a [`BenchReport`]; the warm-pass allocation count rides
+/// on the last (cached) leg, the one it was measured on.
+fn bench_report(
     scale: Scale,
     queries: usize,
     plans: usize,
     reps: usize,
     allocs_per_pass_warm: u64,
     legs: &[Leg],
-) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let baseline = &legs[0];
-    let mut phases = String::new();
-    for (i, leg) in legs[1..].iter().enumerate() {
-        if i > 0 {
-            phases.push(',');
-        }
-        phases.push_str(&format!(
-            "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\
-             \"speedup\":{:.4},\"plans_per_s\":{:.1}}}",
-            leg.name.replace(", ", "_").replace(' ', "_"),
-            baseline.seconds,
-            leg.seconds,
-            baseline.seconds / leg.seconds.max(1e-12),
-            leg.plans_per_s(plans),
-        ));
+) -> BenchReport {
+    let mut report = BenchReport::new("infer", scale, 1);
+    for leg in legs {
+        report
+            .push_row(leg.name.replace(", ", "_").replace(' ', "_"))
+            .time("pass", leg.seconds)
+            .work("queries", queries as u64)
+            .work("plans", plans as u64)
+            .work("passes", reps as u64);
     }
-    let best = legs
-        .last()
-        .expect("at least the baseline leg must be present");
-    format!(
-        concat!(
-            "{{\"bench\":\"infer\",\"scale\":\"{}\",",
-            "\"threads_serial\":1,\"threads_parallel\":1,",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"queries\":{},\"plans\":{},\"reps\":{},",
-            "\"plans_per_s_single_scalar\":{:.1},",
-            "\"plans_per_s_best\":{:.1},",
-            "\"allocs_per_pass_warm\":{}}}"
-        ),
-        scale_name,
-        phases,
-        baseline.seconds,
-        best.seconds,
-        baseline.seconds / best.seconds.max(1e-12),
-        queries,
-        plans,
-        reps,
-        baseline.plans_per_s(plans),
-        best.plans_per_s(plans),
-        allocs_per_pass_warm,
-    )
+    if let Some(cached) = report.rows.last_mut() {
+        cached.work("allocs_per_pass", allocs_per_pass_warm);
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
-
-    #[derive(Debug, Deserialize)]
-    struct Report {
-        bench: String,
-        scale: String,
-        threads_serial: u32,
-        threads_parallel: u32,
-        phases: Vec<Phase>,
-        total: Totals,
-        plans: u64,
-        allocs_per_pass_warm: u64,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Phase {
-        name: String,
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-        plans_per_s: f64,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Totals {
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
 
     fn leg(name: &'static str, seconds: f64) -> Leg {
         Leg {
@@ -376,57 +315,27 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_well_formed_and_compare_compatible() {
+    fn bench_report_has_one_row_per_leg() {
         let legs = [
             leg("single, scalar", 1.0),
             leg("single, simd", 0.8),
             leg("batched sparse, simd, cached", 0.1),
         ];
-        let json = report_json(Scale::Small, 10, 200, 5, 0, &legs);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
+        let r = bench_report(Scale::Small, 10, 200, 5, 0, &legs);
         assert_eq!(r.bench, "infer");
         assert_eq!(r.scale, "small");
-        assert_eq!(r.threads_serial, 1);
-        assert_eq!(r.threads_parallel, 1);
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "single_simd");
-        assert!((r.phases[0].serial_s - 1.0).abs() < 1e-9);
-        assert!((r.phases[0].parallel_s - 0.8).abs() < 1e-9);
-        assert!((r.phases[0].speedup - 1.25).abs() < 1e-9);
-        assert!((r.phases[0].plans_per_s - 250.0).abs() < 1e-6);
-        assert_eq!(r.phases[1].name, "batched_sparse_simd_cached");
-        assert!((r.total.serial_s - 1.0).abs() < 1e-9);
-        assert!((r.total.parallel_s - 0.1).abs() < 1e-9);
-        assert!((r.total.speedup - 10.0).abs() < 1e-9);
-        assert_eq!(r.plans, 200);
-        assert_eq!(r.allocs_per_pass_warm, 0);
-    }
-
-    #[test]
-    fn checked_in_infer_report_parses_and_hits_the_speedup_target() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_infer.json"
-        ))
-        .expect("BENCH_infer.json must be checked in at the repo root");
-        let r: Report = serde_json::from_str(&json).expect("checked-in report must parse");
-        assert_eq!(r.bench, "infer");
-        assert!(r.phases.iter().any(|p| p.name == "batched_sparse_simd"));
+        assert_eq!(r.threads, 1);
+        let names: Vec<&str> = r.rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
-            r.allocs_per_pass_warm, 0,
-            "warm cached scoring must be allocation-free"
+            names,
+            ["single_scalar", "single_simd", "batched_sparse_simd_cached"]
         );
-        // The PR's headline: batched+SIMD inference at least 5x the legacy
-        // single-plan scalar path.
-        let best = r
-            .phases
-            .iter()
-            .find(|p| p.name == "batched_sparse_simd_cached")
-            .expect("cached batched leg must be present");
-        assert!(
-            best.speedup >= 5.0,
-            "batched+SIMD+cached speedup {:.2}x is below the 5x target",
-            best.speedup
-        );
+        let simd = &r.rows[1];
+        assert_eq!(simd.time["pass"], 0.8);
+        assert_eq!(simd.work["plans"] as f64 / simd.time["pass"], 250.0);
+        assert_eq!(simd.work["queries"], 10);
+        assert_eq!(simd.work["passes"], 5);
+        assert!(!simd.work.contains_key("allocs_per_pass"));
+        assert_eq!(r.rows[2].work["allocs_per_pass"], 0);
     }
 }

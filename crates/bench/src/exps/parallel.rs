@@ -1,10 +1,11 @@
 //! The parallel-compute benchmark: runs the fig5+fig7 experiment subset
 //! twice — once pinned to a single thread (the serial baseline) and once on
 //! the default pool — and reports wall-clock per phase plus the speedup,
-//! both as a table and as a `BENCH_parallel.json` report.
+//! both as a table and as a `BENCH_parallel.json` [`BenchReport`] whose
+//! rows carry each phase's `serial` and `pool` seconds.
 
 use crate::exps::{common, fig5};
-use crate::report::Table;
+use crate::report::{BenchReport, Table};
 use crate::scale::Scale;
 use loam_core::pipeline::evaluate_model;
 
@@ -45,51 +46,20 @@ fn run_phases(scale: Scale) -> PhaseTimes {
     PhaseTimes { phases }
 }
 
-/// Renders the report as a JSON document. Both thread counts are the ones
-/// the legs actually ran with, not assumptions. When both legs ran at the
-/// same thread count the speedup signal is degenerate — every phase is
-/// marked `degenerate: true` so downstream tooling (`experiments compare`)
-/// knows not to read meaning into the ratio.
-fn report_json(
+/// The two legs as a [`BenchReport`] at the pool leg's thread count. A
+/// report at one thread is degenerate: both legs ran serially, so the
+/// serial/pool ratio means nothing.
+fn bench_report(
     scale: Scale,
-    serial_threads: usize,
     parallel_threads: usize,
     serial: &PhaseTimes,
     parallel: &PhaseTimes,
-) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let degenerate = serial_threads == parallel_threads;
-    let mark = if degenerate {
-        ",\"degenerate\":true"
-    } else {
-        ""
-    };
-    let mut phases = String::new();
-    for (i, ((name, s), (_, p))) in serial.phases.iter().zip(&parallel.phases).enumerate() {
-        if i > 0 {
-            phases.push(',');
-        }
-        phases.push_str(&format!(
-            "{{\"name\":\"{name}\",\"serial_s\":{s:.6},\"parallel_s\":{p:.6},\
-             \"speedup\":{:.4}{mark}}}",
-            s / p.max(1e-9)
-        ));
+) -> BenchReport {
+    let mut report = BenchReport::new("parallel", scale, parallel_threads);
+    for ((name, s), (_, p)) in serial.phases.iter().zip(&parallel.phases) {
+        report.push_row(*name).time("serial", *s).time("pool", *p);
     }
-    format!(
-        concat!(
-            "{{\"bench\":\"parallel\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}}}"
-        ),
-        scale_name,
-        serial_threads,
-        parallel_threads,
-        phases,
-        serial.total(),
-        parallel.total(),
-        serial.total() / parallel.total().max(1e-9),
-    )
+    report
 }
 
 /// Runs the benchmark and writes `BENCH_parallel.json` into the current
@@ -119,8 +89,8 @@ pub fn run(scale: Scale) {
     if parallel_threads == serial_threads {
         eprintln!(
             "warning: both legs will run with {serial_threads} thread(s) — the speedup \
-             column is meaningless and every phase will be marked `degenerate: true` \
-             in BENCH_parallel.json; pass --threads N or set MCSIM_PAR_THREADS"
+             column is meaningless and BENCH_parallel.json will record `threads: 1`; \
+             pass --threads N or set MCSIM_PAR_THREADS"
         );
     }
 
@@ -151,100 +121,52 @@ pub fn run(scale: Scale) {
     println!("{}", t.render());
     println!("threads: serial={serial_threads}, parallel={parallel_threads}");
 
-    let json = report_json(scale, serial_threads, parallel_threads, &serial, &parallel);
     let path = "BENCH_parallel.json";
-    if serial_threads == parallel_threads && existing_is_nondegenerate(path) {
+    if parallel_threads == serial_threads && existing_is_nondegenerate(path) {
         eprintln!(
             "refusing to overwrite the non-degenerate {path} with a degenerate \
              1-vs-1 run; pass --threads N or set MCSIM_PAR_THREADS to regenerate it"
         );
         return;
     }
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    bench_report(scale, parallel_threads, &serial, &parallel).write(path);
 }
 
-/// True when `path` holds a parseable report whose two legs ran at distinct
-/// thread counts. Missing or malformed files are treated as degenerate (and
-/// may therefore be overwritten freely).
+/// True when `path` holds a parseable report whose pool leg ran on more
+/// than one thread. Missing or malformed files are treated as degenerate
+/// (and may therefore be overwritten freely).
 fn existing_is_nondegenerate(path: &str) -> bool {
-    #[derive(serde::Deserialize)]
-    struct ThreadCounts {
-        threads_serial: u64,
-        threads_parallel: u64,
-    }
-    let Ok(s) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    match serde_json::from_str::<ThreadCounts>(&s) {
-        Ok(t) => t.threads_serial != t.threads_parallel,
-        Err(_) => false,
-    }
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|s| serde_json::from_str::<BenchReport>(&s).ok())
+        .is_some_and(|r| r.threads > 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
-
-    #[derive(Debug, Deserialize)]
-    struct Report {
-        bench: String,
-        scale: String,
-        threads_serial: u32,
-        threads_parallel: u32,
-        phases: Vec<Phase>,
-        total: Totals,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Phase {
-        name: String,
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-        degenerate: Option<bool>,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Totals {
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
 
     #[test]
-    fn report_json_is_well_formed() {
+    fn bench_report_keeps_both_legs_per_phase() {
         let serial = PhaseTimes {
             phases: vec![("a", 2.0), ("b", 4.0)],
         };
         let parallel = PhaseTimes {
             phases: vec![("a", 1.0), ("b", 2.0)],
         };
-        let json = report_json(Scale::Small, 1, 8, &serial, &parallel);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
+        let r = bench_report(Scale::Small, 8, &serial, &parallel);
         assert_eq!(r.bench, "parallel");
         assert_eq!(r.scale, "small");
-        assert_eq!(r.threads_serial, 1);
-        assert_eq!(r.threads_parallel, 8);
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "a");
-        assert!((r.phases[0].serial_s - 2.0).abs() < 1e-9);
-        assert!((r.phases[0].parallel_s - 1.0).abs() < 1e-9);
-        assert!((r.phases[0].speedup - 2.0).abs() < 1e-9);
-        assert!(
-            r.phases[0].degenerate.is_none(),
-            "distinct thread counts are sound"
-        );
-        assert!((r.total.serial_s - 6.0).abs() < 1e-9);
-        assert!((r.total.parallel_s - 3.0).abs() < 1e-9);
-        assert!((r.total.speedup - 2.0).abs() < 1e-9);
+        assert_eq!(r.threads, 8);
+        assert_eq!(r.rows.len(), 2);
+        assert_eq!(r.rows[0].name, "a");
+        assert_eq!(r.rows[0].time["serial"], 2.0);
+        assert_eq!(r.rows[0].time["pool"], 1.0);
+        assert_eq!(r.rows[1].time["serial"] / r.rows[1].time["pool"], 2.0);
     }
 
-    /// The overwrite guard recognizes a checked-in non-degenerate report
-    /// and treats missing/garbage/degenerate files as fair game.
+    /// The overwrite guard recognizes a non-degenerate report and treats
+    /// missing/garbage/single-thread files as fair game.
     #[test]
     fn overwrite_guard_classifies_existing_reports() {
         let dir = std::env::temp_dir().join("mcsim-parallel-guard-test");
@@ -255,11 +177,11 @@ mod tests {
             phases: vec![("a", 2.0)],
         };
         let good = p("good.json");
-        std::fs::write(&good, report_json(Scale::Small, 1, 4, &times, &times)).unwrap();
+        bench_report(Scale::Small, 4, &times, &times).write(&good);
         assert!(existing_is_nondegenerate(&good));
 
         let degen = p("degen.json");
-        std::fs::write(&degen, report_json(Scale::Small, 1, 1, &times, &times)).unwrap();
+        bench_report(Scale::Small, 1, &times, &times).write(&degen);
         assert!(!existing_is_nondegenerate(&degen));
 
         let junk = p("junk.json");
@@ -267,17 +189,5 @@ mod tests {
         assert!(!existing_is_nondegenerate(&junk));
 
         assert!(!existing_is_nondegenerate(&p("missing.json")));
-    }
-
-    /// A run where both legs use the same thread count marks every phase
-    /// degenerate, so nobody mistakes a 1.0x "speedup" for a measurement.
-    #[test]
-    fn same_thread_count_marks_phases_degenerate() {
-        let times = PhaseTimes {
-            phases: vec![("a", 2.0), ("b", 4.0)],
-        };
-        let json = report_json(Scale::Small, 1, 1, &times, &times);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
-        assert!(r.phases.iter().all(|p| p.degenerate == Some(true)));
     }
 }

@@ -15,13 +15,12 @@
 //! Because the arrival trace, the guarded selection, and the per-request
 //! executors are all seeded, `single` and `batched` make bit-identical
 //! decisions — the phases differ only in wall-clock, so the QPS ratio is
-//! a pure measurement of batching + caching. Writes `BENCH_serve.json` in
-//! the `BenchReport` phase schema (`single` is every phase's `serial_s`
-//! baseline, so for the equal-traffic phases `speedup` *is* the QPS
-//! ratio); serve-specific fields (latency percentiles, shed rate, cache
-//! hit rates) ride along unparsed.
+//! a pure measurement of batching + caching. Writes `BENCH_serve.json` as
+//! a [`BenchReport`]: one row per phase, with wall-clock and latency
+//! percentiles as `time` and the seeded request, batch and cache counts
+//! as `work` (QPS is completed / wall).
 
-use crate::report::Table;
+use crate::report::{BenchReport, Table};
 use crate::scale::{scaled_eval_profile, Scale};
 use loam_core::inference::EnvStrategy;
 use loam_core::pipeline::{evaluate_candidates, prepare_project, train_loam, PipelineConfig};
@@ -66,8 +65,6 @@ fn base_config(scale: Scale, requests: usize) -> mcsim_serve::ServeConfigBuilder
 pub struct PhaseOutcome {
     /// Phase name (`single`, `batched`, ...).
     pub name: &'static str,
-    /// The phase's arrival shape (`poisson`, `bursty`, `diurnal`).
-    pub arrival: &'static str,
     /// The session report (carries its own wall-clock).
     pub report: ServeReport,
 }
@@ -150,16 +147,11 @@ pub fn run_phases(scale: Scale, quick: bool) -> Vec<PhaseOutcome> {
         .into_iter()
         .map(|(name, cfg)| {
             eprintln!("serving `{name}`...");
-            let arrival = cfg.arrival.name();
             let session = ServeSession::new(cfg).expect("serve config is valid");
             let report = session
                 .run(&predictor, &evaluated, catalog, None)
                 .expect("serving must terminate with a report");
-            PhaseOutcome {
-                name,
-                arrival,
-                report,
-            }
+            PhaseOutcome { name, report }
         })
         .collect()
 }
@@ -206,80 +198,38 @@ pub fn run(scale: Scale, quick: bool) {
         outcomes[0].report.gate_deployed
     );
 
-    let json = report_json(scale, &outcomes);
-    let path = "BENCH_serve.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    bench_report(scale, &outcomes).write("BENCH_serve.json");
 }
 
-/// Renders the sweep as `BenchReport`-shaped JSON: the `single` phase is
-/// every phase's `serial_s` baseline and each phase's own wall-clock is
-/// `parallel_s`, so `speedup` is the QPS ratio and `compare` gates on
-/// serving-throughput regressions.
-fn report_json(scale: Scale, outcomes: &[PhaseOutcome]) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let base_wall = outcomes[0].report.wall_s.max(1e-9);
+/// The phases as a [`BenchReport`] at the serving pool's thread count.
+fn bench_report(scale: Scale, outcomes: &[PhaseOutcome]) -> BenchReport {
     let threads = mcsim_par::ThreadPool::global().threads();
-    let phases = outcomes
-        .iter()
-        .map(|o| {
-            let r = &o.report;
-            format!(
-                concat!(
-                    "{{\"name\":\"{}\",\"serial_s\":{:.6},\"parallel_s\":{:.6},",
-                    "\"speedup\":{:.4},\"serve\":{{\"arrival\":\"{}\",\"requests\":{},",
-                    "\"shed\":{},\"shed_rate\":{:.6},\"completed\":{},\"failed\":{},",
-                    "\"batches\":{},\"qps\":{:.3},\"p50_ms\":{:.6},\"p95_ms\":{:.6},",
-                    "\"p99_ms\":{:.6},\"feature_hit_rate\":{:.6},",
-                    "\"decision_hit_rate\":{:.6}}}}}"
-                ),
-                o.name,
-                base_wall,
-                r.wall_s,
-                base_wall / r.wall_s.max(1e-9),
-                o.arrival,
-                r.requests,
-                r.shed,
-                r.shed_rate(),
-                r.completed,
-                r.failed,
-                r.batches,
-                r.qps(),
-                r.latency.p50() * 1e3,
-                r.latency.p95() * 1e3,
-                r.latency.p99() * 1e3,
-                r.feature_hit_rate(),
-                r.decision_hit_rate(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let total_wall: f64 = outcomes.iter().map(|o| o.report.wall_s).sum();
-    format!(
-        concat!(
-            "{{\"bench\":\"serve\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"gate_deployed\":{}}}"
-        ),
-        scale_name,
-        threads,
-        threads,
-        phases,
-        base_wall * outcomes.len() as f64,
-        total_wall,
-        base_wall * outcomes.len() as f64 / total_wall.max(1e-9),
-        outcomes[0].report.gate_deployed,
-    )
+    let mut report = BenchReport::new("serve", scale, threads);
+    for o in outcomes {
+        let r = &o.report;
+        report
+            .push_row(o.name)
+            .time("wall", r.wall_s)
+            .time("p50", r.latency.p50())
+            .time("p95", r.latency.p95())
+            .time("p99", r.latency.p99())
+            .work("requests", r.requests as u64)
+            .work("shed", r.shed as u64)
+            .work("completed", r.completed as u64)
+            .work("failed", r.failed as u64)
+            .work("batches", r.batches as u64)
+            .work("feature_hits", r.feature_cache_hits)
+            .work("feature_misses", r.feature_cache_misses)
+            .work("decision_hits", r.decision_cache_hits)
+            .work("decision_misses", r.decision_cache_misses)
+            .work("gate_deployed", u64::from(r.gate_deployed));
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exps::compare::BenchReport;
 
     /// The headline acceptance criterion: batching + caching at least
     /// doubles sustained QPS over the single-query baseline while making
@@ -306,45 +256,5 @@ mod tests {
         );
         assert!(batched.decision_cache_hits > 0);
         assert!(batched.feature_cache_misses > 0);
-    }
-
-    /// The emitted JSON parses as a `BenchReport` (so `experiments
-    /// compare` can gate on it) and the phase speedup is the QPS ratio.
-    #[test]
-    fn report_json_is_compare_compatible() {
-        let outcomes = run_phases(Scale::Small, true);
-        let json = report_json(Scale::Small, &outcomes);
-        let r: BenchReport = serde_json::from_str(&json).expect("BenchReport-compatible JSON");
-        assert_eq!(r.bench, "serve");
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "single");
-        assert_eq!(r.phases[1].name, "batched");
-        assert!((r.phases[0].speedup - 1.0).abs() < 1e-9);
-        assert!(r.total.parallel_s > 0.0);
-    }
-
-    /// The checked-in repo-root report stays parseable and in sync with
-    /// the schema (mirrors the `BENCH_chaos.json` test).
-    #[test]
-    fn checked_in_bench_serve_report_parses() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_serve.json"
-        ))
-        .expect("BENCH_serve.json must be checked in at the repo root");
-        let r: BenchReport = serde_json::from_str(&json).expect("parseable report");
-        assert_eq!(r.bench, "serve");
-        assert!(!r.phases.is_empty());
-        assert_eq!(r.phases[0].name, "single");
-        let batched = r
-            .phases
-            .iter()
-            .find(|p| p.name == "batched")
-            .expect("a batched phase");
-        assert!(
-            batched.speedup >= 2.0,
-            "checked-in report must show >= 2x QPS, got {:.2}x",
-            batched.speedup
-        );
     }
 }

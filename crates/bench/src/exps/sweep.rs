@@ -27,10 +27,10 @@
 //! * the runbook manifest carries every cell's seed and config, so a sweep
 //!   replays byte-for-byte from the report alone ([`replay`]).
 //!
-//! `experiments compare` understands sweep reports and diffs them
-//! cell-by-cell with per-metric thresholds (see
-//! [`compare`](crate::exps::compare)), so CI gates on a whole scenario
-//! matrix instead of a single benchmark.
+//! `experiments compare` diffs sweep reports cell by cell through the same
+//! engine as every other report ([`SweepReport::gated`] maps cells to
+//! rows; see [`compare`](crate::exps::compare)), so CI gates on a whole
+//! scenario matrix instead of a single benchmark.
 //!
 //! # Spec format
 //!
@@ -58,6 +58,7 @@
 //! construction). Either way, cells = jobs × `axis.threads`.
 
 use crate::canon;
+use crate::exps::compare::{Gated, GatedRow, Metric};
 use crate::report::Table;
 use crate::scale::{scaled_eval_profile, Scale};
 use loam_core::inference::EnvStrategy;
@@ -644,12 +645,35 @@ pub struct SweepReport {
     pub runbook: Runbook,
 }
 
-/// Renders a report as canonical JSON with a trailing newline — the exact
-/// bytes written to `BENCH_sweep.json`.
-pub fn canonical_report(r: &SweepReport) -> String {
-    let mut s = canon::canonical_of(r);
-    s.push('\n');
-    s
+impl SweepReport {
+    /// The `compare` gate's view: one row per cell keyed by `config_hash`,
+    /// with costs and shed rate lower-is-better, completion rate
+    /// higher-is-better, and the decision digest exact.
+    pub fn gated(&self) -> Gated {
+        let rows = self
+            .cells
+            .iter()
+            .map(|c| {
+                let m = &c.metrics;
+                let metrics = [
+                    ("total_cost", Metric::Lower(m.total_cost)),
+                    ("total_wasted_cost", Metric::Lower(m.total_wasted_cost)),
+                    ("shed_rate", Metric::Lower(m.shed_rate)),
+                    ("completion_rate", Metric::Higher(m.completion_rate)),
+                    ("decision_hash", Metric::Exact(m.decision_hash.clone())),
+                ];
+                GatedRow {
+                    name: c.config_hash.clone(),
+                    metrics: metrics.map(|(k, v)| (k.to_string(), v)).into(),
+                }
+            })
+            .collect();
+        Gated {
+            bench: self.bench.clone(),
+            scale: self.scale.clone(),
+            rows,
+        }
+    }
 }
 
 fn metrics_of(report: &ServeReport) -> CellMetrics {
@@ -1046,7 +1070,7 @@ pub fn run(scale: Scale, quick: bool, spec_path: Option<&str>) {
     );
 
     let path = "BENCH_sweep.json";
-    match std::fs::write(path, canonical_report(&report)) {
+    match std::fs::write(path, canon::canonical_file(&report)) {
         Ok(()) => println!("wrote {path} (canonical JSON; bit-identical across reruns)"),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }

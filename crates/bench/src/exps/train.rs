@@ -4,11 +4,11 @@
 //! reports wall-clock, speedup, allocations per optimizer step (via the
 //! counting allocator installed by the `experiments` binary), and a
 //! bit-identity check between the serial and parallel workspace runs.
-//! Writes `BENCH_train.json` in the same shape as `BENCH_parallel.json`
-//! (plus training-specific extra fields), so `experiments compare` can diff
-//! it.
+//! Writes `BENCH_train.json` as a [`BenchReport`]: one row per leg, with
+//! the training wall-clock as `time` and the step and warm-allocation
+//! counts as `work`.
 
-use crate::report::Table;
+use crate::report::{BenchReport, Table};
 use crate::scale::{scaled_eval_profile, scaled_pipeline_config, Scale};
 use loam_core::pipeline::prepare_project;
 use loam_core::{train, train_reference, AdaptiveCostPredictor, TrainReport};
@@ -20,6 +20,7 @@ use mcsim_catalog::ProjectId;
 const MIN_PARALLEL_THREADS: usize = 4;
 
 struct Leg {
+    /// Table label and report row name.
     name: &'static str,
     threads: usize,
     report: TrainReport,
@@ -96,9 +97,9 @@ pub fn run(scale: Scale) {
         }
     };
 
-    let legacy = leg("legacy allocating, serial", 1, true);
-    let ws_serial = leg("workspace engine, serial", 1, false);
-    let ws_parallel = leg("workspace engine, pool", parallel_threads, false);
+    let legacy = leg("legacy_serial", 1, true);
+    let ws_serial = leg("workspace_serial", 1, false);
+    let ws_parallel = leg("workspace_pool", parallel_threads, false);
 
     // Determinism: the workspace engine must be bit-identical at any thread
     // count AND bit-identical to the legacy allocating path.
@@ -130,109 +131,32 @@ pub fn run(scale: Scale) {
     }
     println!("{}", t.render());
 
-    let json = report_json(scale, &legacy, &ws_serial, &ws_parallel);
-    let path = "BENCH_train.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    bench_report(scale, &[legacy, ws_serial, ws_parallel]).write("BENCH_train.json");
 }
 
-/// Renders the report as a JSON document in the `BenchReport` shape (the
-/// `compare` subcommand's parser ignores the training-specific extras).
-fn report_json(scale: Scale, legacy: &Leg, ws_serial: &Leg, ws_parallel: &Leg) -> String {
-    let scale_name = format!("{scale:?}").to_lowercase();
-    let (ls, ss, ps) = (
-        legacy.report.seconds,
-        ws_serial.report.seconds,
-        ws_parallel.report.seconds,
-    );
-    let phases = format!(
-        concat!(
-            "{{\"name\":\"fig7_train\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "{{\"name\":\"fig7_train_serial\",\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}}"
-        ),
-        ls,
-        ps,
-        ls / ps.max(1e-9),
-        ls,
-        ss,
-        ls / ss.max(1e-9),
-    );
-    let epoch_seconds = |l: &Leg| {
-        l.report
-            .epoch_seconds
-            .iter()
-            .map(|s| format!("{s:.6}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!(
-        concat!(
-            "{{\"bench\":\"train\",\"scale\":\"{}\",",
-            "\"threads_serial\":{},\"threads_parallel\":{},",
-            "\"phases\":[{}],",
-            "\"total\":{{\"serial_s\":{:.6},\"parallel_s\":{:.6},\"speedup\":{:.4}}},",
-            "\"epochs\":{},\"steps\":{},",
-            "\"allocs_per_step_legacy\":{:.1},",
-            "\"allocs_per_step_ws_warm\":{:.1},",
-            "\"ws_first_epoch_allocs\":{},",
-            "\"ws_last_epoch_allocs\":{},",
-            "\"epoch_seconds_legacy\":[{}],",
-            "\"epoch_seconds_ws_parallel\":[{}]}}"
-        ),
-        scale_name,
-        legacy.threads,
-        ws_parallel.threads,
-        phases,
-        ls,
-        ps,
-        ls / ps.max(1e-9),
-        ws_parallel.report.epoch_seconds.len(),
-        ws_parallel.report.steps,
-        steady_allocs_per_step(&legacy.report),
-        steady_allocs_per_step(&ws_parallel.report),
-        ws_parallel
-            .report
-            .epoch_allocs
-            .first()
-            .copied()
-            .unwrap_or(0),
-        ws_parallel.report.epoch_allocs.last().copied().unwrap_or(0),
-        epoch_seconds(legacy),
-        epoch_seconds(ws_parallel),
-    )
+/// The legs as a [`BenchReport`] at the widest leg's thread count.
+fn bench_report(scale: Scale, legs: &[Leg]) -> BenchReport {
+    let threads = legs.iter().map(|l| l.threads).max().unwrap_or(1);
+    let mut report = BenchReport::new("train", scale, threads);
+    for l in legs {
+        let r = &l.report;
+        report
+            .push_row(l.name)
+            .time("train", r.seconds)
+            .work("threads", l.threads as u64)
+            .work("epochs", r.epoch_allocs.len() as u64)
+            .work("steps", r.steps)
+            .work(
+                "allocs_last_epoch",
+                r.epoch_allocs.last().copied().unwrap_or(0),
+            );
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
-
-    #[derive(Debug, Deserialize)]
-    struct Report {
-        bench: String,
-        scale: String,
-        threads_serial: u32,
-        threads_parallel: u32,
-        phases: Vec<Phase>,
-        total: Totals,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Phase {
-        name: String,
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
-
-    #[derive(Debug, Deserialize)]
-    struct Totals {
-        serial_s: f64,
-        parallel_s: f64,
-        speedup: f64,
-    }
 
     fn leg(name: &'static str, threads: usize, secs: f64) -> Leg {
         Leg {
@@ -251,26 +175,25 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_well_formed_and_compare_compatible() {
-        let legacy = leg("legacy", 1, 4.0);
-        let ws_serial = leg("ws serial", 1, 2.0);
-        let ws_parallel = leg("ws pool", 4, 1.0);
-        let json = report_json(Scale::Small, &legacy, &ws_serial, &ws_parallel);
-        let r: Report = serde_json::from_str(&json).expect("valid json");
+    fn bench_report_has_one_row_per_leg() {
+        let legs = [
+            leg("legacy_serial", 1, 4.0),
+            leg("workspace_serial", 1, 2.0),
+            leg("workspace_pool", 4, 1.0),
+        ];
+        let r = bench_report(Scale::Small, &legs);
         assert_eq!(r.bench, "train");
         assert_eq!(r.scale, "small");
-        assert_eq!(r.threads_serial, 1);
-        assert_eq!(r.threads_parallel, 4);
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].name, "fig7_train");
-        assert!((r.phases[0].serial_s - 4.0).abs() < 1e-9);
-        assert!((r.phases[0].parallel_s - 1.0).abs() < 1e-9);
-        assert!((r.phases[0].speedup - 4.0).abs() < 1e-9);
-        assert_eq!(r.phases[1].name, "fig7_train_serial");
-        assert!((r.phases[1].speedup - 2.0).abs() < 1e-9);
-        assert!((r.total.serial_s - 4.0).abs() < 1e-9);
-        assert!((r.total.parallel_s - 1.0).abs() < 1e-9);
-        assert!((r.total.speedup - 4.0).abs() < 1e-9);
+        assert_eq!(r.threads, 4);
+        assert_eq!(r.rows.len(), 3);
+        let pool = r.row("workspace_pool").expect("pool row");
+        assert_eq!(pool.time["train"], 1.0);
+        assert_eq!(pool.work["threads"], 4);
+        assert_eq!(pool.work["epochs"], 2);
+        assert_eq!(pool.work["steps"], 20);
+        assert_eq!(pool.work["allocs_last_epoch"], 0);
+        let legacy = r.row("legacy_serial").expect("legacy row");
+        assert_eq!(legacy.time["train"] / pool.time["train"], 4.0);
     }
 
     #[test]
@@ -278,18 +201,5 @@ mod tests {
         let l = leg("x", 1, 1.0);
         // 2 epochs, 20 steps → 10 steps/epoch; last epoch had 0 allocs.
         assert_eq!(steady_allocs_per_step(&l.report), 0.0);
-    }
-
-    #[test]
-    fn checked_in_train_report_parses_against_itself() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_train.json"
-        ))
-        .expect("BENCH_train.json must be checked in at the repo root");
-        let r: Report = serde_json::from_str(&json).expect("checked-in report must parse");
-        assert_eq!(r.bench, "train");
-        assert_eq!(r.phases.len(), 2);
-        assert!(r.phases.iter().any(|p| p.name == "fig7_train"));
     }
 }

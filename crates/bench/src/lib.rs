@@ -9,5 +9,5 @@ pub mod exps;
 pub mod report;
 pub mod scale;
 
-pub use report::{fmt_row, metrics_json, Table};
+pub use report::{fmt_row, metrics_json, BenchReport, BenchRow, Table};
 pub use scale::{scaled_eval_profile, scaled_pipeline_config, Scale};

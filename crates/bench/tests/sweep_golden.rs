@@ -9,7 +9,7 @@
 //! shows up here as a diff against a reviewable artifact.
 
 use loam_bench::canon;
-use loam_bench::exps::sweep::{canonical_report, SweepReport};
+use loam_bench::exps::sweep::SweepReport;
 
 const GOLDEN: &str = include_str!("golden/sweep_report.json");
 
@@ -17,14 +17,14 @@ const GOLDEN: &str = include_str!("golden/sweep_report.json");
 fn golden_report_roundtrips_byte_identically() {
     let report: SweepReport = serde_json::from_str(GOLDEN).expect("golden fixture parses");
     assert_eq!(
-        canonical_report(&report),
+        canon::canonical_file(&report),
         GOLDEN,
         "serialize(parse(golden)) must be the identity on bytes"
     );
     // And the round-trip is a fixpoint, not a one-off coincidence.
     let again: SweepReport =
-        serde_json::from_str(&canonical_report(&report)).expect("canonical output reparses");
-    assert_eq!(canonical_report(&again), GOLDEN);
+        serde_json::from_str(&canon::canonical_file(&report)).expect("canonical output reparses");
+    assert_eq!(canon::canonical_file(&again), GOLDEN);
 }
 
 #[test]

@@ -107,51 +107,14 @@ pub fn select_plan<M: CostModel + Sync + ?Sized>(
     (best, costs)
 }
 
-/// Guarded selection: picks the estimated-cheapest candidate, but falls back
-/// to the default plan unless the winner is predicted at least `margin`
-/// cheaper than the default. Production steering is asymmetric — a missed
-/// improvement costs little, a confident-but-wrong switch is a regression a
-/// multi-tenant system cannot afford — so deviations from the native
-/// optimizer require a confidence margin.
-#[deprecated(note = "use `serving::RobustServer::select_guarded` instead")]
-pub fn select_plan_guarded<M: CostModel + Sync + ?Sized>(
-    model: &M,
-    plans: &[&PlanTree],
-    strategy: &EnvStrategy,
-    default_idx: usize,
-    margin: f64,
-) -> (usize, Vec<f64>) {
-    let (best, costs) = select_plan(model, plans, strategy);
-    let chosen = guarded_choice_traced(plans, &costs, best, default_idx, margin, None, 0);
-    (chosen, costs)
-}
-
-/// Like [`select_plan_guarded`], but additionally records a
-/// [`Decision::PlanSelection`] (every candidate's signature and predicted
-/// cost, the model's favourite, and the guarded choice) — plus a
-/// [`Decision::Fallback`] when the margin guard overrides the model — into
-/// `trace` (when `Some`). `query_id` labels the records.
-#[deprecated(note = "use `serving::RobustServer::select_guarded` instead")]
-pub fn select_plan_guarded_traced<M: CostModel + Sync + ?Sized>(
-    model: &M,
-    plans: &[&PlanTree],
-    strategy: &EnvStrategy,
-    default_idx: usize,
-    margin: f64,
-    trace: Option<&TraceContext>,
-    query_id: u64,
-) -> (usize, Vec<f64>) {
-    let (best, costs) = select_plan(model, plans, strategy);
-    let chosen = guarded_choice_traced(plans, &costs, best, default_idx, margin, trace, query_id);
-    (chosen, costs)
-}
-
-/// The margin guard over an already-scored candidate set: picks between the
-/// model's favourite `best` and `default_idx`, records the provenance, and
-/// returns the guarded choice. Factored out of
-/// [`select_plan_guarded_traced`] so callers that must inspect the predicted
-/// costs first (e.g. the robust serving path, which checks them for
-/// non-finite values) do not have to score the candidates twice.
+/// The margin guard over an already-scored candidate set: picks the
+/// model's favourite `best` only if it is predicted at least `margin`
+/// cheaper than `default_idx`, records the provenance — a
+/// [`Decision::PlanSelection`], plus a [`Decision::Fallback`] when the guard
+/// overrides the model — into `trace` (when `Some`), and returns the
+/// guarded choice. Production steering is asymmetric: a missed improvement
+/// costs little, a confident-but-wrong switch is a regression a
+/// multi-tenant system cannot afford.
 pub fn guarded_choice_traced(
     plans: &[&PlanTree],
     costs: &[f64],
@@ -251,8 +214,24 @@ mod tests {
         assert_eq!(costs.len(), 3);
     }
 
+    /// `select_plan` + `guarded_choice_traced`: what
+    /// `RobustServer::select_guarded` runs.
+    fn select_plan_guarded_traced(
+        model: &FakeModel,
+        plans: &[&PlanTree],
+        strategy: &EnvStrategy,
+        default_idx: usize,
+        margin: f64,
+        trace: Option<&TraceContext>,
+        query_id: u64,
+    ) -> (usize, Vec<f64>) {
+        let (best, costs) = select_plan(model, plans, strategy);
+        let chosen =
+            guarded_choice_traced(plans, &costs, best, default_idx, margin, trace, query_id);
+        (chosen, costs)
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn guarded_selection_records_decision_provenance() {
         let small = chain(1); // cheapest under FakeModel
         let big = chain(9); // the "default" plan

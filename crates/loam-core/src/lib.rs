@@ -63,14 +63,10 @@ pub use gate::{
     GateReport,
 };
 pub use inference::{guarded_choice_traced, select_plan, EnvStrategy, DEFAULT_MARGIN};
-#[allow(deprecated)] // legacy surface, kept until the shims are removed
-pub use inference::{select_plan_guarded, select_plan_guarded_traced};
 pub use persist::{load_predictor, load_ranker, save_predictor, save_ranker, PersistError};
 pub use predictor::baselines::{CostModel, GcnPredictor, TransformerPredictor, XgbPredictor};
 pub use predictor::train::{train, train_reference, TrainConfig, TrainReport, TrainSample};
 pub use predictor::{with_thread_infer_ws, AdaptiveCostPredictor, InferWs};
-#[allow(deprecated)] // legacy surface, kept until the shims are removed
-pub use robust::{execute_with_fallback, run_robust_serving, select_plan_robust};
 pub use robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
 pub use selector::{FilterConfig, FilterReport, Ranker};
 pub use serving::RobustServer;

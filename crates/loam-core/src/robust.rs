@@ -17,22 +17,14 @@
 //!    or deadline: replay the default plan.
 //! 5. **Failed** — even the default plan failed; the query is counted
 //!    against the completion rate and surfaces a
-//!    [`LoamError::ExecutionFailed`]-equivalent result entry.
+//!    [`LoamError::ExecutionFailed`](crate::LoamError::ExecutionFailed)-equivalent result entry.
 //!
 //! Every degradation leaves a typed
 //! [`Decision::Fallback`](mcsim_obs::trace::Decision::Fallback) provenance record
 //! in the trace and bumps a `loam.fallback.*` counter.
 
-use crate::error::LoamError;
 use crate::gate::GateConfig;
-use crate::inference::{EnvStrategy, DEFAULT_MARGIN};
-use crate::pipeline::EvaluatedQuery;
-use crate::predictor::baselines::CostModel;
-use crate::serving::RobustServer;
-use mcsim_catalog::Catalog;
-use mcsim_exec::{ExecutionOutcome, Executor};
-use mcsim_obs::trace::TraceContext;
-use mcsim_plan::PlanTree;
+use crate::inference::DEFAULT_MARGIN;
 
 /// Configuration of the robust serving loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,127 +146,9 @@ impl RobustRunReport {
     }
 }
 
-/// Robust plan selection.
-#[deprecated(note = "use `serving::RobustServer::select_robust` instead")]
-pub fn select_plan_robust<M: CostModel + Sync + ?Sized>(
-    model: &M,
-    plans: &[&PlanTree],
-    strategy: &EnvStrategy,
-    default_idx: usize,
-    margin: f64,
-    trace: Option<&TraceContext>,
-    query_id: u64,
-) -> (usize, Option<String>) {
-    let cfg = RobustConfig {
-        margin,
-        ..RobustConfig::default()
-    };
-    RobustServer::unchecked(*strategy, cfg).select_robust(
-        model,
-        plans,
-        default_idx,
-        trace,
-        query_id,
-    )
-}
-
-/// Executes `steered`, replaying `default_plan` on failure.
-#[deprecated(note = "use `serving::RobustServer::execute_with_fallback` instead")]
-pub fn execute_with_fallback(
-    exec: &mut Executor,
-    steered: &PlanTree,
-    default_plan: &PlanTree,
-    catalog: &Catalog,
-    trace: Option<&TraceContext>,
-    query_id: u64,
-) -> Result<(ExecutionOutcome, bool), LoamError> {
-    RobustServer::unchecked(EnvStrategy::NoEnv, RobustConfig::default()).execute_with_fallback(
-        exec,
-        steered,
-        default_plan,
-        catalog,
-        trace,
-        query_id,
-    )
-}
-
-/// The robust serving loop.
-#[deprecated(note = "use `serving::RobustServer::serve_all` instead")]
-pub fn run_robust_serving<M: CostModel + Sync + ?Sized>(
-    model: &M,
-    strategy: &EnvStrategy,
-    evaluated: &[EvaluatedQuery],
-    exec: &mut Executor,
-    catalog: &Catalog,
-    cfg: &RobustConfig,
-    trace: Option<&TraceContext>,
-) -> Result<RobustRunReport, LoamError> {
-    RobustServer::unchecked(*strategy, cfg.clone())
-        .serve_all(model, evaluated, exec, catalog, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::featurize::EnvSource;
-    use mcsim_plan::Operator;
-
-    /// Charges per node; optionally returns NaN for every non-trivial plan.
-    struct FakeModel {
-        nan_for_big: bool,
-    }
-    impl CostModel for FakeModel {
-        fn name(&self) -> &'static str {
-            "fake"
-        }
-        fn predict(&self, plan: &PlanTree, _env: EnvSource<'_>) -> f64 {
-            if self.nan_for_big && plan.len() > 2 {
-                f64::NAN
-            } else {
-                plan.len() as f64
-            }
-        }
-        fn size_bytes(&self) -> usize {
-            0
-        }
-    }
-
-    fn chain(n: usize) -> PlanTree {
-        let mut t = PlanTree::new();
-        let mut cur = t.leaf(Operator::table_scan(0, 1, 1, vec![0]));
-        for _ in 0..n {
-            cur = t.unary(Operator::Limit { n: 1 }, cur);
-        }
-        t.set_root(cur);
-        t
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_session_engine() {
-        let model = FakeModel { nan_for_big: true };
-        let small = chain(1);
-        let big = chain(9);
-        let strat = EnvStrategy::NoEnv;
-        // NaN candidate ⇒ default, with a reason — same ladder as the new API.
-        let (choice, reason) =
-            select_plan_robust(&model, &[&small, &big], &strat, 0, 0.1, None, 42);
-        let (new_choice, new_reason) = RobustServer::unchecked(
-            strat,
-            RobustConfig {
-                margin: 0.1,
-                ..RobustConfig::default()
-            },
-        )
-        .select_robust(&model, &[&small, &big], 0, None, 42);
-        assert_eq!(choice, new_choice);
-        assert_eq!(reason.is_some(), new_reason.is_some());
-        // Finite candidates ⇒ margin guard, same winner.
-        let ok = FakeModel { nan_for_big: false };
-        let (c1, r1) = select_plan_robust(&ok, &[&big, &small], &strat, 0, 0.4, None, 1);
-        assert_eq!(c1, 1);
-        assert!(r1.is_none());
-    }
 
     #[test]
     fn resolution_degradation_classes_are_consistent() {

@@ -1,11 +1,9 @@
 //! The unified per-query serving engine: [`RobustServer`].
 //!
-//! Earlier revisions grew a pile of free functions — `run_robust_serving`,
-//! `select_plan_robust`, `execute_with_fallback`, `select_plan_guarded*` —
-//! that all threaded the same margin/fallback/gate configuration through
-//! their parameter lists. [`RobustServer`] binds an [`EnvStrategy`] and a
-//! validated [`RobustConfig`] once and exposes the same ladder as methods;
-//! the old free functions remain as `#[deprecated]` shims delegating here.
+//! [`RobustServer`] binds an [`EnvStrategy`] and a validated
+//! [`RobustConfig`] once and exposes the selection and fallback ladder as
+//! methods, instead of threading the margin/fallback/gate configuration
+//! through every call.
 //!
 //! `RobustServer` is the *per-query* engine: select under the margin guard,
 //! degrade on non-finite predictions, execute with default-plan replay.
@@ -48,12 +46,6 @@ impl RobustServer {
             )));
         }
         Ok(RobustServer { strategy, cfg })
-    }
-
-    /// Shim constructor for the deprecated free functions, which never
-    /// validated their margin.
-    pub(crate) fn unchecked(strategy: EnvStrategy, cfg: RobustConfig) -> RobustServer {
-        RobustServer { strategy, cfg }
     }
 
     /// The bound environment strategy.

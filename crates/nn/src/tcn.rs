@@ -533,8 +533,8 @@ pub struct TcnCache {
     ws: TcnWs,
 }
 
-/// Reusable buffers for [`Tcn::forward_forest_ws`]: the stacked node matrix
-/// and offset tree structure of the whole batch, the shared convolution
+/// Reusable buffers for [`Tcn::forward_forest_stacked_ws`]: the stacked
+/// (unpadded) node matrix and offset tree structure of the whole batch, the shared convolution
 /// activations, and the per-tree pooled/embedding rows. One warm instance
 /// per serving worker; never reallocates once the largest batch shape has
 /// been seen.
@@ -710,39 +710,24 @@ impl Tcn {
         ws.emb
     }
 
-    /// Batched ("forest") encoding: stacks every tree's node features into
-    /// one padded node matrix with offset child indices, so both convolution
-    /// layers run as a single fused kernel invocation over all nodes of the
-    /// batch, then pools each tree's row segment and projects the whole
-    /// pooled batch through one matmul. The embeddings land in `ws.emb()`,
-    /// one row per input tree, in input order.
+    /// Batched ("forest") encoding of a batch already stacked into `ws`
+    /// (via [`ForestWs::stack_with`] or written directly through
+    /// [`ForestWs::stacked_parts_mut`]): both convolution layers run as one
+    /// kernel invocation over every node of the batch, each tree's row
+    /// segment is pooled, and the pooled batch is projected through one
+    /// matmul. The embeddings land in `ws.emb()`, one row per tree, in
+    /// input order.
     ///
     /// Bit-identical to encoding each tree alone with [`Tcn::infer`]: the
     /// convolution is row-local (a node sees only itself and its own
     /// children, whose indices are offset within the same tree), pooling
     /// shares the per-segment kernel with the single-tree path, and the
     /// projection computes each output row as an independent dot product.
-    pub fn forward_forest_ws(&self, items: &[(&Mat, &TreeStructure)], ws: &mut ForestWs) {
-        ws.stack_with(items.len(), |i| items[i]);
-        self.forward_forest_stacked_ws(ws, false);
-    }
-
-    /// [`Tcn::forward_forest_ws`] with conv1 consuming a CSR index of the
-    /// stacked feature matrix instead of the dense rows — bitwise identical
-    /// (see the [`crate::sparse`] module docs), and the main single-thread
-    /// win of the inference hot path: plan-feature rows are ~90% zeros.
-    pub fn forward_forest_ws_sparse(&self, items: &[(&Mat, &TreeStructure)], ws: &mut ForestWs) {
-        ws.stack_with(items.len(), |i| items[i]);
-        self.forward_forest_stacked_ws(ws, true);
-    }
-
-    /// The compute half of the forest forward: consumes a batch already
-    /// stacked into `ws` (via [`ForestWs::stack_with`] or written directly
-    /// through [`ForestWs::stacked_parts_mut`]) and leaves the embeddings in
-    /// `ws.emb()`. When `sparse`, conv1 runs over a CSR index of the stacked
-    /// matrix, rebuilt in place — under [`KernelMode::Simd`] through the
-    /// lane-rows kernel, otherwise through the scalar CSR kernel; the result
-    /// is bitwise identical every way.
+    /// When `sparse`, conv1 runs over a CSR index of the stacked matrix,
+    /// rebuilt in place — under [`KernelMode::Simd`] through the lane-rows
+    /// kernel, otherwise through the scalar CSR kernel; the result is
+    /// bitwise identical every way (plan-feature rows are ~90% zeros, so
+    /// this is the main single-thread win of the inference hot path).
     pub fn forward_forest_stacked_ws(&self, ws: &mut ForestWs, sparse: bool) {
         let ForestWs {
             x,
@@ -1010,6 +995,17 @@ mod tests {
         }
     }
 
+    /// Stacks `items` into `ws` and runs the forest forward over them.
+    fn forest_forward(
+        tcn: &Tcn,
+        items: &[(&Mat, &TreeStructure)],
+        ws: &mut ForestWs,
+        sparse: bool,
+    ) {
+        ws.stack_with(items.len(), |i| items[i]);
+        tcn.forward_forest_stacked_ws(ws, sparse);
+    }
+
     #[test]
     fn forward_shapes_are_consistent() {
         let mut rng = StdRng::seed_from_u64(0);
@@ -1041,7 +1037,7 @@ mod tests {
         let items: Vec<(&Mat, &TreeStructure)> = xs.iter().zip(trees.iter()).collect();
 
         let mut ws = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws);
+        forest_forward(&tcn, &items, &mut ws, false);
         assert_eq!((ws.emb().rows, ws.emb().cols), (items.len(), 4));
         for (b, (x, t)) in items.iter().enumerate() {
             let single = tcn.infer(x, t);
@@ -1052,16 +1048,17 @@ mod tests {
             );
         }
         // Warm reuse with a different batch size stays correct.
-        tcn.forward_forest_ws(&items[..2], &mut ws);
+        forest_forward(&tcn, &items[..2], &mut ws, false);
         assert_eq!(ws.emb().rows, 2);
         assert_eq!(ws.emb().row(1), &tcn.infer(&xs[1], &trees[1]).data[..]);
         // An empty batch yields an empty embedding matrix.
-        tcn.forward_forest_ws(&[], &mut ws);
+        forest_forward(&tcn, &[], &mut ws, false);
         assert_eq!(ws.emb().rows, 0);
     }
 
-    /// The sparse-conv1 forest forward and the direct-stacked entry point
-    /// must both be bit-identical to the dense item-slice path.
+    /// The sparse-conv1 forest forward must be bit-identical to the dense
+    /// one, in both stacking orders (stack then forward, or forward over a
+    /// workspace stacked earlier).
     #[test]
     fn sparse_and_prestacked_forest_paths_match_dense_bitwise() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -1090,9 +1087,9 @@ mod tests {
         let items: Vec<(&Mat, &TreeStructure)> = xs.iter().zip(trees.iter()).collect();
 
         let mut ws_d = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws_d);
+        forest_forward(&tcn, &items, &mut ws_d, false);
         let mut ws_s = ForestWs::default();
-        tcn.forward_forest_ws_sparse(&items, &mut ws_s);
+        forest_forward(&tcn, &items, &mut ws_s, true);
         assert_eq!(ws_d.emb(), ws_s.emb(), "sparse forest forward diverged");
 
         // Stacking through the closure API + the prestacked entry point is
@@ -1151,16 +1148,16 @@ mod tests {
 
         let prev = set_kernel_mode(KernelMode::Scalar);
         let mut ws_scalar = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws_scalar);
+        forest_forward(&tcn, &items, &mut ws_scalar, false);
         let mut ws_scalar_sp = ForestWs::default();
-        tcn.forward_forest_ws_sparse(&items, &mut ws_scalar_sp);
+        forest_forward(&tcn, &items, &mut ws_scalar_sp, true);
         let singles: Vec<Mat> = items.iter().map(|(x, t)| tcn.infer(x, t)).collect();
 
         set_kernel_mode(KernelMode::Simd);
         let mut ws_simd = ForestWs::default();
-        tcn.forward_forest_ws(&items, &mut ws_simd);
+        forest_forward(&tcn, &items, &mut ws_simd, false);
         let mut ws_simd_sp = ForestWs::default();
-        tcn.forward_forest_ws_sparse(&items, &mut ws_simd_sp);
+        forest_forward(&tcn, &items, &mut ws_simd_sp, true);
         assert_eq!(
             ws_scalar.emb(),
             ws_simd.emb(),

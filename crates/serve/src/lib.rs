@@ -16,8 +16,9 @@
 //!   optimize → gate → execute path over the
 //!   [`RobustServer`](loam_core::serving::RobustServer) engine;
 //! * request batching — distinct templates in a batch are scored with
-//!   **one** padded forest forward (`tinynn::Tcn::forward_forest_ws` via
-//!   [`CostModel::predict_batch`](loam_core::predictor::baselines::CostModel::predict_batch)),
+//!   **one** stacked forest forward (`tinynn::Tcn::forward_forest_stacked_ws`
+//!   via
+//!   [`CostModel::predict_batch_into`](loam_core::predictor::baselines::CostModel::predict_batch_into)),
 //!   bit-identical to single-query scoring;
 //! * [`DecisionCache`] — plan-signature → guarded-decision cache with
 //!   model-version invalidation, alongside the sharded

@@ -298,6 +298,25 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+impl<T: Serialize> Serialize for std::collections::BTreeMap<String, T> {
+    fn to_value(&self) -> Value {
+        Value::Map(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::collections::BTreeMap<String, T> {
+    fn from_value(v: &Value) -> Result<Self, de::DeError> {
+        crate::__private::as_map(v, "BTreeMap")?
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), T::from_value(v)?)))
+            .collect()
+    }
+}
+
 macro_rules! impl_serde_tuple {
     ($(($($t:ident : $i:tt),+) of $n:expr;)*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {

@@ -57,8 +57,6 @@ pub mod prelude {
     pub use loam_core::explorer::{Candidate, CandidateSet, ExplorerConfig, PlanExplorer};
     pub use loam_core::gate::{GateConfig, GateReport};
     pub use loam_core::inference::{select_plan, EnvStrategy, DEFAULT_MARGIN};
-    #[allow(deprecated)] // legacy surface; prefer RobustServer / ServeSession
-    pub use loam_core::inference::{select_plan_guarded, select_plan_guarded_traced};
     pub use loam_core::persist::{
         load_predictor, load_ranker, save_predictor, save_ranker, PersistError,
     };
@@ -70,8 +68,6 @@ pub mod prelude {
     };
     pub use loam_core::predictor::baselines::CostModel;
     pub use loam_core::predictor::train::{train, TrainConfig, TrainReport, TrainSample};
-    #[allow(deprecated)] // legacy surface; prefer RobustServer / ServeSession
-    pub use loam_core::robust::{execute_with_fallback, run_robust_serving, select_plan_robust};
     pub use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
     pub use loam_core::selector::{
         evaluate_filter, evaluate_filter_traced, ranker_features, FilterConfig, Ranker,

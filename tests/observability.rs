@@ -5,7 +5,6 @@
 //!
 //! The recorder is process-global, so everything lives in one test function
 //! — parallel test threads would otherwise interleave their metrics.
-#![allow(deprecated)] // still drives the run_robust_serving shim on purpose
 
 use loam::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -238,16 +237,16 @@ fn chaos_serving_emits_fault_retry_and_fallback_counters() {
         },
         ..RobustConfig::default()
     };
-    let report = run_robust_serving(
-        &NanModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &robust_cfg,
-        None,
-    )
-    .expect("robust serving terminates");
+    let report = RobustServer::new(strategy, robust_cfg)
+        .expect("valid guard margin")
+        .serve_all(
+            &NanModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            None,
+        )
+        .expect("robust serving terminates");
 
     mcsim_obs::uninstall();
     let snap = recorder.snapshot();

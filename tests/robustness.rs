@@ -2,11 +2,6 @@
 //! degrade gracefully — it always terminates, never panics, and every
 //! degraded query leaves a typed [`Decision::Fallback`] provenance record
 //! whose `query_id` matches the query it degraded.
-//!
-//! Deliberately exercises the deprecated free-function surface
-//! (`run_robust_serving` & co.) so the shims stay behaviorally equivalent
-//! to [`loam_core::serving::RobustServer`]; new code should use the latter.
-#![allow(deprecated)]
 
 use loam::prelude::*;
 
@@ -113,16 +108,16 @@ fn aggressive_chaos_terminates_and_records_fallback_provenance() {
         .build();
 
     let ctx = TraceContext::new("robustness");
-    let report = run_robust_serving(
-        &NodeCountModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &cfg,
-        Some(&ctx),
-    )
-    .expect("robust serving must terminate with a report, never panic");
+    let report = RobustServer::new(strategy, cfg)
+        .expect("valid guard margin")
+        .serve_all(
+            &NodeCountModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            Some(&ctx),
+        )
+        .expect("robust serving must terminate with a report, never panic");
 
     // Every query landed on some rung of the ladder.
     assert_eq!(report.results.len(), evaluated.len());
@@ -169,16 +164,16 @@ fn nan_predictor_degrades_every_query_to_the_default_plan() {
     let mut exec = ChaosScenario::new(7).fault_scale(0.0).build();
 
     let ctx = TraceContext::new("nan-predictor");
-    let report = run_robust_serving(
-        &NanModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &cfg,
-        Some(&ctx),
-    )
-    .expect("a broken predictor must degrade, not fail the run");
+    let report = RobustServer::new(strategy, cfg)
+        .expect("valid guard margin")
+        .serve_all(
+            &NanModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            Some(&ctx),
+        )
+        .expect("a broken predictor must degrade, not fail the run");
 
     assert!((report.completion_rate() - 1.0).abs() < 1e-12);
     let ids = fallback_ids(&ctx);
@@ -209,16 +204,16 @@ fn gate_hold_serves_every_query_with_the_default_plan() {
     let mut exec = ChaosScenario::new(11).fault_scale(0.0).build();
 
     let ctx = TraceContext::new("gate-hold");
-    let report = run_robust_serving(
-        &NodeCountModel,
-        &strategy,
-        &evaluated,
-        &mut exec,
-        &prepared.project.catalog,
-        &cfg,
-        Some(&ctx),
-    )
-    .expect("gate hold must degrade, not fail the run");
+    let report = RobustServer::new(strategy, cfg)
+        .expect("valid guard margin")
+        .serve_all(
+            &NodeCountModel,
+            &evaluated,
+            &mut exec,
+            &prepared.project.catalog,
+            Some(&ctx),
+        )
+        .expect("gate hold must degrade, not fail the run");
 
     assert!(!report.gate_deployed);
     assert!((report.completion_rate() - 1.0).abs() < 1e-12);
@@ -231,13 +226,9 @@ fn gate_hold_serves_every_query_with_the_default_plan() {
     // With the ladder disarmed, the same hold is ignored: queries serve
     // through normal guarded selection instead.
     let mut exec2 = ChaosScenario::new(11).fault_scale(0.0).build();
-    let report2 = run_robust_serving(
-        &NodeCountModel,
-        &strategy,
-        &evaluated,
-        &mut exec2,
-        &prepared.project.catalog,
-        &RobustConfig {
+    let report2 = RobustServer::new(
+        strategy,
+        RobustConfig {
             fallback_enabled: false,
             gate: GateConfig {
                 max_avg_ratio: 0.0,
@@ -245,6 +236,13 @@ fn gate_hold_serves_every_query_with_the_default_plan() {
             },
             ..RobustConfig::default()
         },
+    )
+    .expect("valid guard margin")
+    .serve_all(
+        &NodeCountModel,
+        &evaluated,
+        &mut exec2,
+        &prepared.project.catalog,
         None,
     )
     .expect("disarmed ladder without faults still completes");

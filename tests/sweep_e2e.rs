@@ -14,7 +14,8 @@
 //! prepare/train context is built once and the global pool override is
 //! never raced by a sibling test.
 
-use loam_bench::exps::sweep::{canonical_report, run_sweep, SweepContext, SweepSpec};
+use loam_bench::canon::canonical_file;
+use loam_bench::exps::sweep::{run_sweep, SweepContext, SweepSpec};
 use loam_bench::Scale;
 
 const SPEC: &str = "\
@@ -46,7 +47,7 @@ fn sweep_is_bit_identical_across_thread_counts_and_replays_from_runbook() {
             report.runbook.thread_invariant,
             "thread replicas must agree at ambient pool {ambient}"
         );
-        renders.push(canonical_report(&report));
+        renders.push(canonical_file(&report));
     }
     assert_eq!(renders[0], renders[1], "1-thread vs 2-thread sweep drifted");
     assert_eq!(renders[0], renders[2], "1-thread vs 8-thread sweep drifted");
@@ -60,7 +61,7 @@ fn sweep_is_bit_identical_across_thread_counts_and_replays_from_runbook() {
     assert_eq!(report.runbook.cells, 4);
     let replayed = loam_bench::exps::sweep::replay(&ctx, &report).expect("runbook replay runs");
     assert_eq!(
-        canonical_report(&replayed),
+        canonical_file(&replayed),
         renders[0],
         "runbook replay must reproduce the report byte for byte"
     );
