@@ -77,13 +77,7 @@ pub fn run_levels(scale: Scale, levels: &[f64]) -> Vec<LevelOutcome> {
             let t = std::time::Instant::now();
             let report = RobustServer::new(strategy, RobustConfig::default())
                 .expect("default margin is valid")
-                .serve_all(
-                    &predictor,
-                    &evaluated,
-                    &mut exec,
-                    &prepared.project.catalog,
-                    None,
-                )
+                .serve_all(&predictor, &evaluated, &mut exec, &prepared.project.catalog)
                 .expect("robust serving must terminate with a report");
             LevelOutcome {
                 name: format!("fault_x{}", lvl as u32),

@@ -14,7 +14,7 @@ use crate::fault::{ExecFailure, RetryPolicy};
 use crate::machine::std_normal;
 use mcsim_catalog::workmodel::{operator_work, WorkContext, WorkParams};
 use mcsim_catalog::{CardinalityModel, Catalog, EnvMetrics};
-use mcsim_obs::trace::{StageExecEvent, TraceContext};
+use mcsim_obs::trace::StageExecEvent;
 use mcsim_plan::op::{JoinAlgo, Operator};
 use mcsim_plan::stage::{decompose, StageGraph};
 use mcsim_plan::{NodeId, PlanSignature, PlanTree};
@@ -82,7 +82,8 @@ impl Executor {
     /// it is disabled, which it is by default) — fault-armed callers should
     /// use [`Executor::try_execute`] instead.
     pub fn execute(&mut self, plan: &PlanTree, catalog: &Catalog) -> ExecutionOutcome {
-        self.execute_traced(plan, catalog, None)
+        let noise_seed = self.rng.gen::<u64>();
+        self.execute_with_noise_seed(plan, catalog, noise_seed)
     }
 
     /// Fallible execution: like [`Executor::execute`] but surfaces retry
@@ -93,60 +94,20 @@ impl Executor {
         plan: &PlanTree,
         catalog: &Catalog,
     ) -> Result<ExecutionOutcome, ExecFailure> {
-        self.try_execute_traced(plan, catalog, None)
-    }
-
-    /// Like [`Executor::execute`], but additionally emits a per-stage,
-    /// per-machine scheduling timeline into `trace` (when `Some`): which
-    /// machines Fuxi placed each stage on, over which cluster-tick window,
-    /// with the stage's queueing factor and cost. Tracing does not perturb
-    /// the simulation — costs are bit-identical with and without it.
-    pub fn execute_traced(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        trace: Option<&TraceContext>,
-    ) -> ExecutionOutcome {
         let noise_seed = self.rng.gen::<u64>();
-        self.try_execute_with_noise_seed_traced(plan, catalog, noise_seed, trace)
-            .unwrap_or_else(|e| {
-                panic!("execution failed under fault injection ({e}); use try_execute*")
-            })
-    }
-
-    /// The fallible, traced flavour of [`Executor::execute_traced`].
-    pub fn try_execute_traced(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        trace: Option<&TraceContext>,
-    ) -> Result<ExecutionOutcome, ExecFailure> {
-        let noise_seed = self.rng.gen::<u64>();
-        self.try_execute_with_noise_seed_traced(plan, catalog, noise_seed, trace)
+        self.try_execute_with_noise_seed(plan, catalog, noise_seed)
     }
 
     /// Executes `plan` with an explicit noise seed, so that the cost under a
     /// fixed environment instance is deterministic per (environment, plan) —
-    /// the `C_e(P)` of Section 5.
+    /// the `C_e(P)` of Section 5. Panics like [`Executor::execute`].
     pub fn execute_with_noise_seed(
         &mut self,
         plan: &PlanTree,
         catalog: &Catalog,
         noise_seed: u64,
     ) -> ExecutionOutcome {
-        self.execute_with_noise_seed_traced(plan, catalog, noise_seed, None)
-    }
-
-    /// The infallible wrapper over the execution core (kept for the
-    /// fault-free replay paths, which cannot fail).
-    pub fn execute_with_noise_seed_traced(
-        &mut self,
-        plan: &PlanTree,
-        catalog: &Catalog,
-        noise_seed: u64,
-        trace: Option<&TraceContext>,
-    ) -> ExecutionOutcome {
-        self.try_execute_with_noise_seed_traced(plan, catalog, noise_seed, trace)
+        self.try_execute_with_noise_seed(plan, catalog, noise_seed)
             .unwrap_or_else(|e| {
                 panic!("execution failed under fault injection ({e}); use try_execute*")
             })
@@ -158,16 +119,22 @@ impl Executor {
     /// per-stage budget, and an optional per-query deadline. With faults
     /// disabled and no deadline this is bit-identical to the historical
     /// fault-free path: no extra RNG draws, a single attempt per stage.
-    pub fn try_execute_with_noise_seed_traced(
+    ///
+    /// Inside a trace scope every entry point also records each stage
+    /// attempt as a [`StageExecEvent`]: which machines Fuxi placed it on,
+    /// over which cluster-tick window, with its queueing factor and cost.
+    /// Tracing does not perturb the simulation — costs are bit-identical
+    /// with and without it.
+    pub fn try_execute_with_noise_seed(
         &mut self,
         plan: &PlanTree,
         catalog: &Catalog,
         noise_seed: u64,
-        trace: Option<&TraceContext>,
     ) -> Result<ExecutionOutcome, ExecFailure> {
         let cards = CardinalityModel::new(catalog).annotate(plan);
         let stages = decompose(plan);
         let skewed = detect_skew(plan, &stages, catalog);
+        let trace = mcsim_obs::trace::current();
         mcsim_obs::counter("exec.queries_executed", 1);
         mcsim_obs::counter("exec.stages_executed", stages.len() as u64);
 
@@ -286,7 +253,7 @@ impl Executor {
                         latency += wasted / instances as f64 * 1.2;
                         mcsim_obs::counter("exec.fault.stage_kills", 1);
                         mcsim_obs::observe("exec.fault.wasted_cost", wasted);
-                        if let Some(t) = trace {
+                        if let Some(t) = &trace {
                             t.stage_event(StageExecEvent {
                                 stage: s,
                                 machines: self.cluster.machine_ids(&machines),
@@ -328,7 +295,7 @@ impl Executor {
                 mcsim_obs::observe("exec.stage.machine_busy", 1.0 - env.cpu_idle);
                 mcsim_obs::observe("exec.stage.queue_wait_factor", queue);
                 mcsim_obs::observe("exec.stage.cost", cost);
-                if let Some(t) = trace {
+                if let Some(t) = &trace {
                     t.stage_event(StageExecEvent {
                         stage: s,
                         machines: self.cluster.machine_ids(&machines),
@@ -525,9 +492,9 @@ mod tests {
         let plan = opt.optimize(q, &Knobs::default());
         let mut plain = exec.clone();
         let mut traced = exec.clone();
-        let ctx = TraceContext::new("exec test");
+        let ctx = mcsim_obs::trace::TraceContext::new("exec test");
         let a = plain.execute_with_noise_seed(&plan, &p.catalog, 42);
-        let b = traced.execute_with_noise_seed_traced(&plan, &p.catalog, 42, Some(&ctx));
+        let b = ctx.scope(|| traced.execute_with_noise_seed(&plan, &p.catalog, 42));
         assert_eq!(a.cpu_cost, b.cpu_cost, "tracing must not perturb costs");
         let timeline = ctx.timeline();
         assert_eq!(timeline.len(), a.stage_costs.len(), "one event per stage");

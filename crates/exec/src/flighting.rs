@@ -54,6 +54,8 @@ impl Flighting {
     /// Replays `plan` `rounds` times under independently evolving
     /// environments, returning each outcome. The shared cluster advances a
     /// random interval between rounds so environments decorrelate.
+    /// Replays record nothing into the current trace (see
+    /// [`mcsim_obs::trace::untraced`]).
     pub fn replay(
         &mut self,
         plan: &PlanTree,
@@ -61,59 +63,49 @@ impl Flighting {
         rounds: usize,
     ) -> Vec<ExecutionOutcome> {
         mcsim_obs::counter("exec.flighting.replays", rounds as u64);
-        (0..rounds)
-            .map(|_| {
-                self.executor.cluster.advance(self.rng.gen_range(5..60));
-                self.executor.execute(plan, catalog)
-            })
-            .collect()
+        mcsim_obs::trace::untraced(|| {
+            (0..rounds)
+                .map(|_| {
+                    self.executor.cluster.advance(self.rng.gen_range(5..60));
+                    self.executor.execute(plan, catalog)
+                })
+                .collect()
+        })
     }
 
     /// Replays every plan of a candidate set under the *same* sequence of
     /// environment instances: for each round the cluster state is snapshotted
     /// and every plan executes from that snapshot, with a per-(round, plan)
-    /// deterministic noise seed. Returns `costs[round][plan]`.
+    /// deterministic noise seed. Returns `costs[round][plan]`. Untraced,
+    /// like [`Flighting::replay`].
     pub fn replay_synchronized(
         &mut self,
         plans: &[&PlanTree],
         catalog: &Catalog,
         rounds: usize,
     ) -> Vec<Vec<f64>> {
-        self.replay_synchronized_traced(plans, catalog, rounds, None)
-    }
-
-    /// Like [`Flighting::replay_synchronized`], but additionally emits every
-    /// replay's per-stage scheduling timeline into `trace` (when `Some`).
-    /// Fan-out warning: the trace receives `rounds × plans × stages` events.
-    pub fn replay_synchronized_traced(
-        &mut self,
-        plans: &[&PlanTree],
-        catalog: &Catalog,
-        rounds: usize,
-        trace: Option<&mcsim_obs::trace::TraceContext>,
-    ) -> Vec<Vec<f64>> {
         mcsim_obs::counter("exec.flighting.synchronized_rounds", rounds as u64);
         mcsim_obs::counter("exec.flighting.replays", (rounds * plans.len()) as u64);
-        let mut out = Vec::with_capacity(rounds);
-        for round in 0..rounds {
-            self.executor.cluster.advance(self.rng.gen_range(10..80));
-            let round_seed: u64 = self.rng.gen();
-            let row: Vec<f64> = plans
-                .iter()
-                .map(|plan| {
-                    // Same environment (cloned executor), per-plan noise
-                    // deterministic in (round, plan).
-                    let mut snapshot = self.executor.clone();
-                    let seed = round_seed ^ PlanSignature::of(plan).0.rotate_left(17);
-                    snapshot
-                        .execute_with_noise_seed_traced(plan, catalog, seed, trace)
-                        .cpu_cost
+        mcsim_obs::trace::untraced(|| {
+            (0..rounds)
+                .map(|_| {
+                    self.executor.cluster.advance(self.rng.gen_range(10..80));
+                    let round_seed: u64 = self.rng.gen();
+                    plans
+                        .iter()
+                        .map(|plan| {
+                            // Same environment (cloned executor), per-plan
+                            // noise deterministic in (round, plan).
+                            let mut snapshot = self.executor.clone();
+                            let seed = round_seed ^ PlanSignature::of(plan).0.rotate_left(17);
+                            snapshot
+                                .execute_with_noise_seed(plan, catalog, seed)
+                                .cpu_cost
+                        })
+                        .collect()
                 })
-                .collect();
-            let _ = round;
-            out.push(row);
-        }
-        out
+                .collect()
+        })
     }
 
     /// Average cost of `plan` over `rounds` replays (convenience for
@@ -167,6 +159,18 @@ mod tests {
         for row in &costs {
             assert_eq!(row[0], row[1]);
         }
+    }
+
+    #[test]
+    fn replays_stay_out_of_the_current_trace() {
+        let (p, mut fl, plan) = fixture();
+        let ctx = mcsim_obs::trace::TraceContext::new("flighting");
+        ctx.scope(|| {
+            fl.replay(&plan, &p.catalog, 2);
+            fl.replay_synchronized(&[&plan], &p.catalog, 2);
+            assert!(mcsim_obs::trace::current().is_some());
+        });
+        assert_eq!(ctx.timeline_len(), 0);
     }
 
     #[test]

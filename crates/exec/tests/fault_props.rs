@@ -87,7 +87,7 @@ proptest! {
             .build();
         for _ in 0..5 {
             let ctx = TraceContext::new("budget");
-            match exec.try_execute_traced(&plan, &p.catalog, Some(&ctx)) {
+            match ctx.scope(|| exec.try_execute(&plan, &p.catalog)) {
                 Ok(out) => {
                     let stages = out.stage_costs.len() as u32;
                     prop_assert!(out.retries <= max_retries * stages,

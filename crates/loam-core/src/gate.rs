@@ -12,10 +12,10 @@
 //! systems can tolerate a mild average regression long before they tolerate
 //! a 20× disaster query).
 
-use crate::inference::{guarded_choice_traced, select_plan, EnvStrategy, DEFAULT_MARGIN};
+use crate::inference::{guarded_choice, select_plan, EnvStrategy, DEFAULT_MARGIN};
 use crate::pipeline::EvaluatedQuery;
 use crate::predictor::baselines::CostModel;
-use mcsim_obs::trace::{Decision, GateVerdict, TraceContext};
+use mcsim_obs::trace::{self, Decision, GateVerdict};
 use mcsim_plan::PlanTree;
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +66,11 @@ impl GateReport {
 }
 
 /// Evaluates `model` on flighting-replayed candidate sets and renders the
-/// deployment verdict.
+/// deployment verdict, recording it — the three criteria with their
+/// measured evidence and the deployment decision — as a
+/// [`Decision::GateVerdict`] into the current trace. The per-query guarded
+/// choices behind the evidence stay untraced: the gate audits a model, not
+/// individual queries.
 ///
 /// # Panics
 ///
@@ -77,23 +81,6 @@ pub fn validate<M: CostModel + ?Sized>(
     evaluated: &[EvaluatedQuery],
     cfg: &GateConfig,
 ) -> GateReport {
-    validate_traced(model, strategy, evaluated, cfg, None)
-}
-
-/// Like [`validate`], but additionally records a [`Decision::GateVerdict`]
-/// (the three criteria with their measured evidence and the deployment
-/// decision) into `trace` (when `Some`).
-///
-/// # Panics
-///
-/// Panics if `evaluated` is empty (a gate needs evidence).
-pub fn validate_traced<M: CostModel + ?Sized>(
-    model: &M,
-    strategy: &EnvStrategy,
-    evaluated: &[EvaluatedQuery],
-    cfg: &GateConfig,
-    trace: Option<&TraceContext>,
-) -> GateReport {
     assert!(!evaluated.is_empty(), "gate needs at least one test query");
     let mut steered_sum = 0.0;
     let mut native_sum = 0.0;
@@ -102,8 +89,16 @@ pub fn validate_traced<M: CostModel + ?Sized>(
     for eq in evaluated {
         let refs: Vec<&PlanTree> = eq.plans.iter().collect();
         let (best, costs) = select_plan(model, &refs, strategy);
-        let choice =
-            guarded_choice_traced(&refs, &costs, best, eq.default_idx, DEFAULT_MARGIN, None, 0);
+        let choice = trace::untraced(|| {
+            guarded_choice(
+                &refs,
+                &costs,
+                best,
+                eq.default_idx,
+                DEFAULT_MARGIN,
+                eq.query_id,
+            )
+        });
         let chosen = eq.mean_cost(choice);
         let default = eq.default_cost();
         steered_sum += chosen;
@@ -124,8 +119,8 @@ pub fn validate_traced<M: CostModel + ?Sized>(
         passes_tail: worst_tail <= cfg.max_tail_ratio,
         passes_regressions: regression_fraction <= cfg.max_regression_fraction,
     };
-    if let Some(t) = trace {
-        t.decision(Decision::GateVerdict(GateVerdict {
+    trace::decision(|| {
+        Decision::GateVerdict(GateVerdict {
             avg_ratio: report.avg_ratio,
             worst_tail_ratio: report.worst_tail_ratio,
             regression_fraction: report.regression_fraction,
@@ -133,8 +128,8 @@ pub fn validate_traced<M: CostModel + ?Sized>(
             passes_tail: report.passes_tail,
             passes_regressions: report.passes_regressions,
             deploy: report.deploy(),
-        }));
-    }
+        })
+    });
     report
 }
 
@@ -212,16 +207,11 @@ mod tests {
     fn traced_gate_records_its_verdict_and_evidence() {
         let evaluated = vec![eq(100.0, 60.0), eq(200.0, 150.0)];
         let strategy = EnvStrategy::MeanHistorical(EnvMetrics::default());
-        let ctx = mcsim_obs::trace::TraceContext::new("gate");
-        let report = validate_traced(
-            &SmallestPlan,
-            &strategy,
-            &evaluated,
-            &GateConfig::default(),
-            Some(&ctx),
-        );
+        let ctx = trace::TraceContext::new("gate");
+        let report =
+            ctx.scope(|| validate(&SmallestPlan, &strategy, &evaluated, &GateConfig::default()));
         let ds = ctx.decisions();
-        assert_eq!(ds.len(), 1);
+        assert_eq!(ds.len(), 1, "one verdict and no plan selections: {ds:?}");
         let Decision::GateVerdict(v) = &ds[0] else {
             panic!("expected a gate verdict, got {:?}", ds[0]);
         };

@@ -18,9 +18,7 @@ use crate::featurize::EnvSource;
 use crate::predictor::baselines::CostModel;
 use mcsim_catalog::{EnvMetrics, QueryRepository};
 use mcsim_exec::Cluster;
-use mcsim_obs::trace::{
-    CandidateScore, Decision, Fallback, PlanSelection, SelectionOutcome, TraceContext,
-};
+use mcsim_obs::trace::{self, CandidateScore, Decision, Fallback, PlanSelection, SelectionOutcome};
 use mcsim_plan::{PlanSignature, PlanTree};
 use serde::{Deserialize, Serialize};
 
@@ -111,17 +109,16 @@ pub fn select_plan<M: CostModel + Sync + ?Sized>(
 /// model's favourite `best` only if it is predicted at least `margin`
 /// cheaper than `default_idx`, records the provenance — a
 /// [`Decision::PlanSelection`], plus a [`Decision::Fallback`] when the guard
-/// overrides the model — into `trace` (when `Some`), and returns the
-/// guarded choice. Production steering is asymmetric: a missed improvement
-/// costs little, a confident-but-wrong switch is a regression a
-/// multi-tenant system cannot afford.
-pub fn guarded_choice_traced(
+/// overrides the model — into the current trace, and returns the guarded
+/// choice. Production steering is asymmetric: a missed improvement costs
+/// little, a confident-but-wrong switch is a regression a multi-tenant
+/// system cannot afford.
+pub fn guarded_choice(
     plans: &[&PlanTree],
     costs: &[f64],
     best: usize,
     default_idx: usize,
     margin: f64,
-    trace: Option<&TraceContext>,
     query_id: u64,
 ) -> usize {
     let (chosen, outcome) = if best == default_idx {
@@ -134,28 +131,29 @@ pub fn guarded_choice_traced(
         mcsim_obs::counter("loam.select.accepted", 1);
         (best, SelectionOutcome::Accepted)
     };
-    if let Some(t) = trace {
-        let candidates: Vec<CandidateScore> = plans
-            .iter()
-            .zip(costs)
-            .enumerate()
-            .map(|(i, (p, &c))| CandidateScore {
-                signature: PlanSignature::of(p).0,
-                predicted_cost: c,
-                is_default: i == default_idx,
-            })
-            .collect();
-        t.decision(Decision::PlanSelection(PlanSelection {
+    trace::decision(|| {
+        Decision::PlanSelection(PlanSelection {
             query_id,
-            candidates,
+            candidates: plans
+                .iter()
+                .zip(costs)
+                .enumerate()
+                .map(|(i, (p, &c))| CandidateScore {
+                    signature: PlanSignature::of(p).0,
+                    predicted_cost: c,
+                    is_default: i == default_idx,
+                })
+                .collect(),
             default_idx,
             best_idx: best,
             chosen_idx: chosen,
             margin,
             outcome,
-        }));
-        if outcome == SelectionOutcome::RejectedFallback {
-            t.decision(Decision::Fallback(Fallback {
+        })
+    });
+    if outcome == SelectionOutcome::RejectedFallback {
+        trace::decision(|| {
+            Decision::Fallback(Fallback {
                 query_id,
                 reason: format!(
                     "steered candidate #{best} predicted {:.3} vs default {:.3}: \
@@ -164,8 +162,8 @@ pub fn guarded_choice_traced(
                     costs[default_idx],
                     margin * 100.0
                 ),
-            }));
-        }
+            })
+        });
     }
     chosen
 }
@@ -214,20 +212,18 @@ mod tests {
         assert_eq!(costs.len(), 3);
     }
 
-    /// `select_plan` + `guarded_choice_traced`: what
+    /// `select_plan` + `guarded_choice`: what
     /// `RobustServer::select_guarded` runs.
-    fn select_plan_guarded_traced(
+    fn select_plan_guarded(
         model: &FakeModel,
         plans: &[&PlanTree],
         strategy: &EnvStrategy,
         default_idx: usize,
         margin: f64,
-        trace: Option<&TraceContext>,
         query_id: u64,
     ) -> (usize, Vec<f64>) {
         let (best, costs) = select_plan(model, plans, strategy);
-        let chosen =
-            guarded_choice_traced(plans, &costs, best, default_idx, margin, trace, query_id);
+        let chosen = guarded_choice(plans, &costs, best, default_idx, margin, query_id);
         (chosen, costs)
     }
 
@@ -236,17 +232,11 @@ mod tests {
         let small = chain(1); // cheapest under FakeModel
         let big = chain(9); // the "default" plan
         let strat = EnvStrategy::NoEnv;
-        let ctx = TraceContext::new("select");
+        let ctx = trace::TraceContext::new("select");
         // Winner is far cheaper than the default: accepted.
-        let (choice, costs) = select_plan_guarded_traced(
-            &FakeModel,
-            &[&big, &small],
-            &strat,
-            0,
-            DEFAULT_MARGIN,
-            Some(&ctx),
-            7,
-        );
+        let (choice, costs) = ctx.scope(|| {
+            select_plan_guarded(&FakeModel, &[&big, &small], &strat, 0, DEFAULT_MARGIN, 7)
+        });
         assert_eq!(choice, 1);
         let ds = ctx.decisions();
         assert_eq!(ds.len(), 1);
@@ -264,16 +254,10 @@ mod tests {
 
         // Near-tied candidates: the margin guard falls back and says why.
         let near = chain(8);
-        let ctx2 = TraceContext::new("fallback");
-        let (choice2, _) = select_plan_guarded_traced(
-            &FakeModel,
-            &[&big, &near],
-            &strat,
-            0,
-            DEFAULT_MARGIN,
-            Some(&ctx2),
-            8,
-        );
+        let ctx2 = trace::TraceContext::new("fallback");
+        let (choice2, _) = ctx2.scope(|| {
+            select_plan_guarded(&FakeModel, &[&big, &near], &strat, 0, DEFAULT_MARGIN, 8)
+        });
         assert_eq!(choice2, 0, "margin guard must keep the default");
         let ds2 = ctx2.decisions();
         assert_eq!(ds2.len(), 2, "selection + fallback");

@@ -58,11 +58,8 @@ pub mod theory;
 pub use error::LoamError;
 pub use explorer::{Candidate, CandidateSet, ExplorerConfig, PlanExplorer};
 pub use featurize::{CachedFeatures, EnvSource, FeatureCache, PlanFeaturizer, FEATURE_DIM};
-pub use gate::{
-    validate as validate_deployment, validate_traced as validate_deployment_traced, GateConfig,
-    GateReport,
-};
-pub use inference::{guarded_choice_traced, select_plan, EnvStrategy, DEFAULT_MARGIN};
+pub use gate::{validate as validate_deployment, GateConfig, GateReport};
+pub use inference::{guarded_choice, select_plan, EnvStrategy, DEFAULT_MARGIN};
 pub use persist::{load_predictor, load_ranker, save_predictor, save_ranker, PersistError};
 pub use predictor::baselines::{CostModel, GcnPredictor, TransformerPredictor, XgbPredictor};
 pub use predictor::train::{train, train_reference, TrainConfig, TrainReport, TrainSample};

@@ -5,14 +5,13 @@
 
 use crate::error::LoamError;
 use crate::explorer::{ExplorerConfig, PlanExplorer};
-use crate::inference::{guarded_choice_traced, select_plan, EnvStrategy, DEFAULT_MARGIN};
+use crate::inference::{guarded_choice, select_plan, EnvStrategy, DEFAULT_MARGIN};
 use crate::predictor::baselines::CostModel;
 use crate::predictor::train::{train, TrainConfig, TrainSample};
 use crate::predictor::AdaptiveCostPredictor;
 use crate::theory::deviance::{best_achievable_deviance, deviance_of_choice, Deviance};
 use mcsim_catalog::{EnvMetrics, Project, ProjectId, ProjectProfile, QueryRepository, QuerySpec};
 use mcsim_exec::{build_history, Flighting, HistoryOptions};
-use mcsim_obs::trace::TraceContext;
 use mcsim_optimizer::NativeOptimizer;
 use mcsim_plan::PlanTree;
 use serde::{Deserialize, Serialize};
@@ -388,6 +387,13 @@ impl EvaluatedQuery {
 
 /// Explores and flighting-replays every test query's candidate set.
 ///
+/// Inside a trace scope each query records a trace-only `query` span (with
+/// query-id and candidate-count attributes) over its `optimize` and
+/// `execute` phases. Replay timelines are deliberately *not* traced —
+/// candidates × rounds × stages would swamp the trace; execute one
+/// representative plan with [`mcsim_exec::Executor`] inside the scope for a
+/// machine-level timeline.
+///
 /// # Errors
 ///
 /// [`LoamError::InvalidConfig`] on a bad configuration,
@@ -397,24 +403,6 @@ impl EvaluatedQuery {
 pub fn evaluate_candidates(
     prepared: &PreparedProject,
     cfg: &PipelineConfig,
-) -> Result<Vec<EvaluatedQuery>, LoamError> {
-    evaluate_candidates_traced(prepared, cfg, None)
-}
-
-/// Like [`evaluate_candidates`], but additionally records a per-query span
-/// tree (`query` → `optimize`/`execute`, with query-id and candidate-count
-/// attributes) into `trace` (when `Some`). Replay timelines are deliberately
-/// *not* traced here — candidates × rounds × stages would swamp the trace;
-/// use [`mcsim_exec::Executor::execute_traced`] on one representative query
-/// for a machine-level timeline.
-///
-/// # Errors
-///
-/// Same as [`evaluate_candidates`].
-pub fn evaluate_candidates_traced(
-    prepared: &PreparedProject,
-    cfg: &PipelineConfig,
-    trace: Option<&TraceContext>,
 ) -> Result<Vec<EvaluatedQuery>, LoamError> {
     cfg.validate()?;
     if prepared.test_queries.is_empty() {
@@ -429,20 +417,14 @@ pub fn evaluate_candidates_traced(
         .test_queries
         .iter()
         .map(|q| {
-            let q_span = trace.map(|t| {
-                let s = t.span("query");
-                s.attr("query_id", q.id);
-                s
-            });
+            let q_span = mcsim_obs::trace::span("query");
+            q_span.attr("query_id", q.id);
             let set = {
                 let _s = mcsim_obs::span("optimize");
-                let _ts = trace.map(|t| t.span("optimize"));
                 explorer.explore(&optimizer, q)
             };
             let plans: Vec<PlanTree> = set.candidates.iter().map(|c| c.plan.clone()).collect();
-            if let Some(s) = &q_span {
-                s.attr("candidates", plans.len());
-            }
+            q_span.attr("candidates", plans.len());
             for p in &plans {
                 p.validate().map_err(|e| {
                     LoamError::PlanInvalid(format!("candidate for query {}: {e}", q.id))
@@ -450,12 +432,8 @@ pub fn evaluate_candidates_traced(
             }
             let refs: Vec<&PlanTree> = plans.iter().collect();
             let costs = {
-                let _s = mcsim_obs::span("execute");
-                let _ts = trace.map(|t| {
-                    let s = t.span("execute");
-                    s.attr("rounds", cfg.eval_rounds);
-                    s
-                });
+                let s = mcsim_obs::span("execute");
+                s.attr("rounds", cfg.eval_rounds);
                 flighting.replay_synchronized(&refs, &prepared.project.catalog, cfg.eval_rounds)
             };
             Ok(EvaluatedQuery {
@@ -489,28 +467,14 @@ pub struct ModelEvaluation {
 ///
 /// Queries are scored independently, so selection fans out across the
 /// global pool; the order-preserved results are folded serially, giving the
-/// same evaluation as a serial loop.
+/// same evaluation as a serial loop. Inside a trace scope each query
+/// records an `infer` span and a full
+/// [plan-selection decision](mcsim_obs::trace::Decision::PlanSelection);
+/// worker spans land on their own trace tracks.
 pub fn evaluate_model<M: CostModel + Sync + ?Sized>(
     model: &M,
     strategy: &EnvStrategy,
     evaluated: &[EvaluatedQuery],
-) -> Result<ModelEvaluation, LoamError> {
-    evaluate_model_traced(model, strategy, evaluated, None)
-}
-
-/// Like [`evaluate_model`], but additionally records an `infer` span and a
-/// full [plan-selection decision](mcsim_obs::trace::Decision::PlanSelection)
-/// per query into `trace` (when `Some`). Selection still fans out across
-/// the thread pool — worker spans land on their own trace tracks.
-///
-/// # Errors
-///
-/// Same as [`evaluate_model`].
-pub fn evaluate_model_traced<M: CostModel + Sync + ?Sized>(
-    model: &M,
-    strategy: &EnvStrategy,
-    evaluated: &[EvaluatedQuery],
-    trace: Option<&TraceContext>,
 ) -> Result<ModelEvaluation, LoamError> {
     if evaluated.is_empty() {
         return Err(LoamError::EmptyWorkload(
@@ -520,20 +484,15 @@ pub fn evaluate_model_traced<M: CostModel + Sync + ?Sized>(
     let started = std::time::Instant::now();
     let choices: Vec<usize> = mcsim_par::ThreadPool::global().parallel_map(evaluated, |eq| {
         let refs: Vec<&PlanTree> = eq.plans.iter().collect();
-        let _s = mcsim_obs::span("infer");
-        let _ts = trace.map(|t| {
-            let s = t.span("infer");
-            s.attr("query_id", eq.query_id);
-            s
-        });
+        let s = mcsim_obs::span("infer");
+        s.attr("query_id", eq.query_id);
         let (best, costs) = select_plan(model, &refs, strategy);
-        guarded_choice_traced(
+        guarded_choice(
             &refs,
             &costs,
             best,
             eq.default_idx,
             DEFAULT_MARGIN,
-            trace,
             eq.query_id,
         )
     });

@@ -10,7 +10,7 @@
 //!   learned from history transfers to future queries.
 
 use mcsim_catalog::Project;
-use mcsim_obs::trace::{Decision, ProjectFilter, TraceContext};
+use mcsim_obs::trace::{self, Decision, ProjectFilter};
 use serde::{Deserialize, Serialize};
 
 /// Thresholds of the three rules.
@@ -85,29 +85,14 @@ impl FilterReport {
 }
 
 /// Evaluates the filter on `project` using the workload of days
-/// `[from, to)` as the sampled workload `Q`.
+/// `[from, to)` as the sampled workload `Q`, recording a
+/// [`Decision::ProjectFilter`] (the three measured metrics, each rule's
+/// verdict, and the conjunction) into the current trace.
 ///
 /// # Panics
 ///
 /// Panics if the day range is empty.
 pub fn evaluate(project: &Project, from: i64, to: i64, cfg: &FilterConfig) -> FilterReport {
-    evaluate_traced(project, from, to, cfg, None)
-}
-
-/// Like [`evaluate`], but additionally records a
-/// [`Decision::ProjectFilter`] (the three measured metrics, each rule's
-/// verdict, and the conjunction) into `trace` (when `Some`).
-///
-/// # Panics
-///
-/// Panics if the day range is empty.
-pub fn evaluate_traced(
-    project: &Project,
-    from: i64,
-    to: i64,
-    cfg: &FilterConfig,
-    trace: Option<&TraceContext>,
-) -> FilterReport {
     assert!(to > from, "day range must be non-empty");
     let d = (to - from) as f64;
     let mut daily_counts = Vec::with_capacity((to - from) as usize);
@@ -146,8 +131,8 @@ pub fn evaluate_traced(
         passes_r2: query_inc_ratio >= cfg.r,
         passes_r3: stable_table_ratio >= cfg.theta,
     };
-    if let Some(t) = trace {
-        t.decision(Decision::ProjectFilter(ProjectFilter {
+    trace::decision(|| {
+        Decision::ProjectFilter(ProjectFilter {
             project: project.id.0 as u64,
             n_query: report.n_query,
             query_inc_ratio: report.query_inc_ratio,
@@ -156,8 +141,8 @@ pub fn evaluate_traced(
             passes_r2: report.passes_r2,
             passes_r3: report.passes_r3,
             selected: report.passes(),
-        }));
-    }
+        })
+    });
     report
 }
 

@@ -8,7 +8,7 @@
 //! transfers to unseen ones.
 
 use mcsim_catalog::Catalog;
-use mcsim_obs::trace::{Decision, ProjectRanking, TraceContext};
+use mcsim_obs::trace::{self, Decision, ProjectRanking};
 use mcsim_plan::op::OpType;
 use mcsim_plan::{Operator, PlanTree};
 use serde::{Deserialize, Serialize};
@@ -107,29 +107,20 @@ impl Ranker {
     }
 
     /// Ranks projects by descending score; returns indices into `projects`.
+    /// Records a [`Decision::ProjectRanking`] — every project's score in
+    /// ranked order — into the current trace.
     pub fn rank_projects(&self, projects: &[Vec<Vec<f64>>]) -> Vec<usize> {
-        self.rank_projects_traced(projects, None)
-    }
-
-    /// Like [`Ranker::rank_projects`], but additionally records a
-    /// [`Decision::ProjectRanking`] — every project's score in ranked
-    /// order — into `trace` (when `Some`).
-    pub fn rank_projects_traced(
-        &self,
-        projects: &[Vec<Vec<f64>>],
-        trace: Option<&TraceContext>,
-    ) -> Vec<usize> {
         let mut scored: Vec<(usize, f64)> = projects
             .iter()
             .enumerate()
             .map(|(i, feats)| (i, self.score_project(feats)))
             .collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        if let Some(t) = trace {
-            t.decision(Decision::ProjectRanking(ProjectRanking {
+        trace::decision(|| {
+            Decision::ProjectRanking(ProjectRanking {
                 scores: scored.iter().map(|&(i, s)| (i as u64, s)).collect(),
-            }));
-        }
+            })
+        });
         scored.into_iter().map(|(i, _)| i).collect()
     }
 

@@ -13,15 +13,15 @@
 
 use crate::error::LoamError;
 use crate::featurize::FeatureCache;
-use crate::gate::validate_traced;
-use crate::inference::{guarded_choice_traced, select_plan, EnvStrategy};
+use crate::gate::validate;
+use crate::inference::{guarded_choice, select_plan, EnvStrategy};
 use crate::pipeline::EvaluatedQuery;
 use crate::predictor::baselines::CostModel;
 use crate::predictor::InferWs;
 use crate::robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
 use mcsim_catalog::Catalog;
 use mcsim_exec::{ExecutionOutcome, Executor};
-use mcsim_obs::trace::{Decision, Fallback, TraceContext};
+use mcsim_obs::trace::{self, Decision, Fallback, TraceContext};
 use mcsim_plan::PlanTree;
 
 /// Per-query serving engine: plan selection under the margin guard plus the
@@ -87,25 +87,16 @@ impl RobustServer {
     /// Guarded selection: scores the candidates and keeps the default plan
     /// unless the winner beats it by the configured margin. Returns
     /// `(chosen index, predicted costs)` and records the provenance into
-    /// `trace`.
+    /// the current trace.
     pub fn select_guarded<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
         plans: &[&PlanTree],
         default_idx: usize,
-        trace: Option<&TraceContext>,
         query_id: u64,
     ) -> (usize, Vec<f64>) {
         let (best, costs) = select_plan(model, plans, &self.strategy);
-        let chosen = guarded_choice_traced(
-            plans,
-            &costs,
-            best,
-            default_idx,
-            self.cfg.margin,
-            trace,
-            query_id,
-        );
+        let chosen = guarded_choice(plans, &costs, best, default_idx, self.cfg.margin, query_id);
         (chosen, costs)
     }
 
@@ -114,6 +105,9 @@ impl RobustServer {
     /// default plan with a [`Decision::Fallback`] record and a reason,
     /// otherwise the guard decides. This is the method batched callers use
     /// after [`score_batch`](Self::score_batch).
+    ///
+    /// The records go to `trace` when given (entered as the root trace for
+    /// this call), else to the current trace.
     pub fn resolve_scored(
         &self,
         plans: &[&PlanTree],
@@ -124,17 +118,20 @@ impl RobustServer {
     ) -> (usize, Option<String>) {
         assert!(!plans.is_empty(), "candidate set must be non-empty");
         assert_eq!(plans.len(), costs.len(), "one cost per candidate");
+        if let Some(ctx) = trace {
+            return ctx.scope(|| self.resolve_scored(plans, costs, default_idx, None, query_id));
+        }
         if let Some((i, c)) = costs.iter().enumerate().find(|(_, c)| !c.is_finite()) {
             let reason = format!(
                 "predictor returned non-finite cost {c} for candidate #{i}; serving default"
             );
             mcsim_obs::counter("loam.fallback.predictor_error", 1);
-            if let Some(t) = trace {
-                t.decision(Decision::Fallback(Fallback {
+            trace::decision(|| {
+                Decision::Fallback(Fallback {
                     query_id,
                     reason: reason.clone(),
-                }));
-            }
+                })
+            });
             return (default_idx, Some(reason));
         }
         let best = costs
@@ -143,15 +140,7 @@ impl RobustServer {
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(default_idx);
-        let chosen = guarded_choice_traced(
-            plans,
-            costs,
-            best,
-            default_idx,
-            self.cfg.margin,
-            trace,
-            query_id,
-        );
+        let chosen = guarded_choice(plans, costs, best, default_idx, self.cfg.margin, query_id);
         (chosen, None)
     }
 
@@ -164,7 +153,6 @@ impl RobustServer {
         model: &M,
         plans: &[&PlanTree],
         default_idx: usize,
-        trace: Option<&TraceContext>,
         query_id: u64,
     ) -> (usize, Option<String>) {
         assert!(!plans.is_empty(), "candidate set must be non-empty");
@@ -172,7 +160,7 @@ impl RobustServer {
         crate::predictor::with_thread_infer_ws(|ws| {
             model.predict_batch_into(plans, self.strategy.env_source(), None, ws, &mut costs);
         });
-        self.resolve_scored(plans, &costs, default_idx, trace, query_id)
+        self.resolve_scored(plans, &costs, default_idx, None, query_id)
     }
 
     /// Executes `steered`, and on failure replays `default_plan` (recording
@@ -184,20 +172,19 @@ impl RobustServer {
         steered: &PlanTree,
         default_plan: &PlanTree,
         catalog: &Catalog,
-        trace: Option<&TraceContext>,
         query_id: u64,
     ) -> Result<(ExecutionOutcome, bool), LoamError> {
-        match exec.try_execute_traced(steered, catalog, trace) {
+        match exec.try_execute(steered, catalog) {
             Ok(out) => Ok((out, false)),
             Err(e) => {
                 mcsim_obs::counter("loam.fallback.exec_failed", 1);
-                if let Some(t) = trace {
-                    t.decision(Decision::Fallback(Fallback {
+                trace::decision(|| {
+                    Decision::Fallback(Fallback {
                         query_id,
                         reason: format!("steered execution failed ({e}); replaying default plan"),
-                    }));
-                }
-                match exec.try_execute_traced(default_plan, catalog, trace) {
+                    })
+                });
+                match exec.try_execute(default_plan, catalog) {
                     Ok(out) => Ok((out, true)),
                     Err(e2) => {
                         mcsim_obs::counter("loam.robust.queries_failed", 1);
@@ -221,19 +208,11 @@ impl RobustServer {
         choice: usize,
         base: Resolution,
         catalog: &Catalog,
-        trace: Option<&TraceContext>,
     ) -> RobustQueryResult {
         let steered = &eq.plans[choice];
         let default_plan = &eq.plans[eq.default_idx];
         let resolved = if self.cfg.fallback_enabled {
-            match self.execute_with_fallback(
-                exec,
-                steered,
-                default_plan,
-                catalog,
-                trace,
-                eq.query_id,
-            ) {
+            match self.execute_with_fallback(exec, steered, default_plan, catalog, eq.query_id) {
                 Ok((out, fell_back)) => Some((
                     out,
                     if fell_back {
@@ -245,7 +224,7 @@ impl RobustServer {
                 Err(_) => None,
             }
         } else {
-            match exec.try_execute_traced(steered, catalog, trace) {
+            match exec.try_execute(steered, catalog) {
                 Ok(out) => Some((out, base)),
                 Err(_) => {
                     mcsim_obs::counter("loam.robust.queries_failed", 1);
@@ -284,21 +263,20 @@ impl RobustServer {
         model: &M,
         eq: &EvaluatedQuery,
         gate_deployed: bool,
-        trace: Option<&TraceContext>,
     ) -> (usize, Resolution) {
         if !gate_deployed && self.cfg.fallback_enabled {
             mcsim_obs::counter("loam.fallback.gate_hold", 1);
-            if let Some(t) = trace {
-                t.decision(Decision::Fallback(Fallback {
+            trace::decision(|| {
+                Decision::Fallback(Fallback {
                     query_id: eq.query_id,
                     reason: "deployment gate held the model; serving default plan".into(),
-                }));
-            }
+                })
+            });
             return (eq.default_idx, Resolution::GateFallback);
         }
         let refs: Vec<&PlanTree> = eq.plans.iter().collect();
         let (choice, predictor_error) =
-            self.select_robust(model, &refs, eq.default_idx, trace, eq.query_id);
+            self.select_robust(model, &refs, eq.default_idx, eq.query_id);
         match predictor_error {
             Some(_) => (choice, Resolution::PredictorFallback),
             None if choice == eq.default_idx => (choice, Resolution::Default),
@@ -310,26 +288,25 @@ impl RobustServer {
     /// execute every evaluated query down the fallback ladder. Never panics
     /// and always terminates — every query lands on some [`Resolution`],
     /// and every degraded query carries a [`Decision::Fallback`] record in
-    /// `trace`.
+    /// the current trace.
     pub fn serve_all<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
         evaluated: &[EvaluatedQuery],
         exec: &mut Executor,
         catalog: &Catalog,
-        trace: Option<&TraceContext>,
     ) -> Result<RobustRunReport, LoamError> {
         if evaluated.is_empty() {
             return Err(LoamError::EmptyWorkload(
                 "robust serving needs at least one evaluated query".into(),
             ));
         }
-        let gate = validate_traced(model, &self.strategy, evaluated, &self.cfg.gate, trace);
+        let gate = validate(model, &self.strategy, evaluated, &self.cfg.gate);
         let gate_deployed = gate.deploy();
         let mut results = Vec::with_capacity(evaluated.len());
         for eq in evaluated {
-            let (choice, base) = self.select_for(model, eq, gate_deployed, trace);
-            results.push(self.execute_resolved(exec, eq, choice, base, catalog, trace));
+            let (choice, base) = self.select_for(model, eq, gate_deployed);
+            results.push(self.execute_resolved(exec, eq, choice, base, catalog));
         }
         Ok(RobustRunReport {
             gate_deployed,
@@ -413,7 +390,7 @@ mod tests {
         let big = chain(9);
         let ctx = TraceContext::new("robust");
         let (choice, reason) =
-            server(0.1).select_robust(&model, &[&small, &big], 0, Some(&ctx), 42);
+            ctx.scope(|| server(0.1).select_robust(&model, &[&small, &big], 0, 42));
         assert_eq!(choice, 0);
         assert!(reason.is_some(), "NaN prediction must surface a reason");
         let ds = ctx.decisions();
@@ -429,7 +406,7 @@ mod tests {
         let small = chain(1);
         let big = chain(9);
         // Winner far cheaper than default ⇒ steered, no reason.
-        let (choice, reason) = server(0.4).select_robust(&model, &[&big, &small], 0, None, 1);
+        let (choice, reason) = server(0.4).select_robust(&model, &[&big, &small], 0, 1);
         assert_eq!(choice, 1);
         assert!(reason.is_none());
     }
@@ -442,9 +419,33 @@ mod tests {
         let s = server(DEFAULT_MARGIN);
         let costs = s.score_batch(&model, &refs, None);
         let (from_scored, r1) = s.resolve_scored(&refs, &costs, 0, None, 3);
-        let (from_select, r2) = s.select_robust(&model, &refs, 0, None, 3);
+        let (from_select, r2) = s.select_robust(&model, &refs, 0, 3);
         assert_eq!(from_scored, from_select);
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn resolve_scored_records_into_its_root_trace_or_the_current_one() {
+        let plans = [chain(9), chain(1)];
+        let refs: Vec<&PlanTree> = plans.iter().collect();
+        let s = server(DEFAULT_MARGIN);
+        let (ambient, root) = (TraceContext::new("ambient"), TraceContext::new("root"));
+        ambient.scope(|| {
+            s.resolve_scored(&refs, &[9.0, 1.0], 0, None, 1);
+            s.resolve_scored(&refs, &[9.0, 1.0], 0, Some(&root), 2);
+        });
+        s.resolve_scored(&refs, &[9.0, 1.0], 0, None, 3);
+        let ids = |ctx: &TraceContext| -> Vec<u64> {
+            ctx.decisions()
+                .iter()
+                .map(|d| match d {
+                    Decision::PlanSelection(p) => p.query_id,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(ids(&ambient), [1]);
+        assert_eq!(ids(&root), [2]);
     }
 
     #[test]
@@ -452,8 +453,7 @@ mod tests {
         let model = FakeModel { nan_for_big: false };
         let big = chain(9);
         let near = chain(8);
-        let (choice, costs) =
-            server(DEFAULT_MARGIN).select_guarded(&model, &[&big, &near], 0, None, 8);
+        let (choice, costs) = server(DEFAULT_MARGIN).select_guarded(&model, &[&big, &near], 0, 8);
         assert_eq!(choice, 0, "margin guard must keep the default");
         assert_eq!(costs.len(), 2);
     }
@@ -479,7 +479,7 @@ mod tests {
             costs: vec![vec![30.0], vec![10.0]],
             default_idx: 0,
         };
-        let (choice, base) = s.select_for(&FakeModel { nan_for_big: false }, &eq, false, None);
+        let (choice, base) = s.select_for(&FakeModel { nan_for_big: false }, &eq, false);
         assert_eq!(choice, 0);
         assert_eq!(base, Resolution::GateFallback);
     }

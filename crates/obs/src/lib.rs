@@ -12,8 +12,10 @@
 //! * **Spans** ([`span`]) — RAII wall-clock timers that nest into a
 //!   `parent/child` path per thread (`fig6/train/epoch`, …).
 //!
-//! Events flow to a process-global [`Recorder`]. By default none is
-//! installed and every entry point reduces to one relaxed atomic load —
+//! Events flow to a process-global [`Recorder`]. Inside a
+//! [`trace::TraceContext::scope`], spans also land in that per-query trace
+//! (see [`trace`]). By default no recorder is installed and no trace is
+//! entered, and every entry point reduces to one relaxed atomic load —
 //! instrumentation in hot paths costs ~nothing when observability is off.
 //! Install the bundled [`InMemoryRecorder`] (or your own `Recorder` impl)
 //! with [`install`] to start collecting; take a [`MetricsSnapshot`] to
@@ -37,7 +39,7 @@ pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -80,7 +82,16 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Bit 0 is set while a recorder is installed; the bits above count the
+/// trace scopes ([`trace::TraceContext::scope`], [`trace::untraced`])
+/// entered on any thread.
+/// Every entry point reads it once, relaxed: zero means there is nothing
+/// to record. It publishes no data — the recorder is read under its lock,
+/// and a scope's trace lives in the entering thread's own local.
+static STATE: AtomicUsize = AtomicUsize::new(0);
+const RECORDER_BIT: usize = 1;
+/// What one entered trace scope adds to [`STATE`].
+const SCOPE_UNIT: usize = 2;
 
 static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 
@@ -89,22 +100,28 @@ static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 pub fn install(recorder: Arc<dyn Recorder>) -> Option<Arc<dyn Recorder>> {
     let mut slot = RECORDER.write().unwrap_or_else(|e| e.into_inner());
     let prev = slot.replace(recorder);
-    ENABLED.store(true, Ordering::Release);
+    STATE.fetch_or(RECORDER_BIT, Ordering::Release);
     prev
 }
 
 /// Removes the global recorder, returning it. Afterwards every entry point
-/// is a single relaxed atomic load again.
+/// is a single relaxed atomic load again (unless a trace is entered).
 pub fn uninstall() -> Option<Arc<dyn Recorder>> {
     let mut slot = RECORDER.write().unwrap_or_else(|e| e.into_inner());
-    ENABLED.store(false, Ordering::Release);
+    STATE.fetch_and(!RECORDER_BIT, Ordering::Release);
     slot.take()
 }
 
 /// True if a recorder is currently installed.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    STATE.load(Ordering::Relaxed) & RECORDER_BIT != 0
+}
+
+/// True while any thread is inside a trace scope.
+#[inline]
+fn tracing() -> bool {
+    STATE.load(Ordering::Relaxed) >= SCOPE_UNIT
 }
 
 #[inline]
@@ -139,29 +156,61 @@ pub fn observe(name: &'static str, value: f64) {
 // ---------------------------------------------------------------- spans
 
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// The spans open on this thread, innermost last, with the ids their
+    /// guards pop them by.
+    static SPAN_STACK: RefCell<Vec<(u64, &'static str)>> = const { RefCell::new(Vec::new()) };
 }
 
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(0);
+
 /// RAII guard for a timed, hierarchically named region. Created by
-/// [`span`]; reports to the recorder on drop.
+/// [`span`]; reports to the recorder on drop, and closes its twin span in
+/// the current trace (if one was entered when it opened).
 #[must_use = "a span measures until dropped; binding it to `_` drops it immediately"]
 pub struct Span {
     name: &'static str,
-    start: Option<Instant>,
+    timed: Option<TimedSpan>,
+    trace: trace::TraceSpan,
+}
+
+/// The recorder half of an open [`Span`].
+struct TimedSpan {
+    id: u64,
+    path: String,
+    start: Instant,
 }
 
 /// Opens a span named `name`, nested under any span already open on this
-/// thread. When no recorder is installed this is free: no clock read, no
-/// allocation, nothing reported on drop.
+/// thread. With a recorder installed it is timed and reported under its
+/// slash-joined path; inside a trace scope it also opens a span of that
+/// name in the current trace. With neither, this is one relaxed atomic
+/// load: no clock read, no allocation, nothing reported on drop.
 pub fn span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span { name, start: None };
-    }
-    SPAN_STACK.with(|s| s.borrow_mut().push(name));
-    Span {
-        name,
-        start: Some(Instant::now()),
-    }
+    let state = STATE.load(Ordering::Relaxed);
+    let timed = (state & RECORDER_BIT != 0).then(|| {
+        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let mut path = String::new();
+        SPAN_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            for (_, parent) in s.iter() {
+                path.push_str(parent);
+                path.push('/');
+            }
+            s.push((id, name));
+        });
+        path.push_str(name);
+        TimedSpan {
+            id,
+            path,
+            start: Instant::now(),
+        }
+    });
+    let trace = if state >= SCOPE_UNIT {
+        trace::span(name)
+    } else {
+        trace::TraceSpan::inert()
+    };
+    Span { name, timed, trace }
 }
 
 impl Span {
@@ -169,23 +218,30 @@ impl Span {
     pub fn name(&self) -> &'static str {
         self.name
     }
+
+    /// Attaches a key/value attribute to the span's trace twin; a no-op
+    /// outside a trace scope (the recorder keeps no attributes).
+    pub fn attr(&self, key: &str, value: impl Into<trace::AttrValue>) {
+        self.trace.attr(key, value);
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let seconds = start.elapsed().as_secs_f64();
-        let path = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = stack.join("/");
-            // Defensive: if user code leaked spans across threads the stack
-            // could mismatch; popping by identity keeps paths sane.
-            if stack.last() == Some(&self.name) {
-                stack.pop();
+        let Some(timed) = self.timed.take() else {
+            return;
+        };
+        let seconds = timed.start.elapsed().as_secs_f64();
+        // Pop by identity: guards can be dropped out of order. Everything
+        // above this span is a still-open descendant; it leaves the stack
+        // with its parent so later spans do not nest under a closed one.
+        SPAN_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            if let Some(pos) = s.iter().rposition(|&(id, _)| id == timed.id) {
+                s.truncate(pos);
             }
-            path
         });
-        with_recorder(|r| r.span_complete(&path, self.name, seconds));
+        with_recorder(|r| r.span_complete(&timed.path, self.name, seconds));
     }
 }
 
@@ -704,6 +760,65 @@ mod tests {
         assert!(snap.span("inner").is_none(), "no orphan paths");
         let outer = snap.span("outer").unwrap();
         assert!(outer.total_s >= snap.span("outer/inner").unwrap().total_s);
+    }
+
+    #[test]
+    fn out_of_order_drops_keep_later_paths_clean() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let rec = Arc::new(InMemoryRecorder::new());
+        install(rec.clone());
+        let a = span("a");
+        let b = span("b");
+        drop(a);
+        drop(b);
+        drop(span("c"));
+        uninstall();
+        let snap = rec.snapshot();
+        let paths: Vec<(&str, u64)> = snap
+            .spans
+            .iter()
+            .map(|(p, s)| (p.as_str(), s.count))
+            .collect();
+        assert_eq!(paths, [("a", 1), ("a/b", 1), ("c", 1)]);
+    }
+
+    #[test]
+    fn aggregate_spans_twin_into_the_trace_with_attrs() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let ctx = trace::TraceContext::new("twin");
+        ctx.scope(|| {
+            let s = span("optimize");
+            s.attr("query_id", 9u64);
+            drop(span("leaf"));
+        });
+        // Outside the scope the same calls leave the trace alone.
+        span("optimize").attr("query_id", 10u64);
+        let spans = ctx.spans();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].name, "optimize");
+        assert_eq!(
+            spans[0].attrs,
+            [("query_id".to_string(), trace::AttrValue::U64(9))]
+        );
+        assert_eq!(spans[1].parent, Some(0));
+    }
+
+    #[test]
+    fn trace_only_spans_leave_recorder_paths_unchanged() {
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let rec = Arc::new(InMemoryRecorder::new());
+        install(rec.clone());
+        let ctx = trace::TraceContext::new("paths");
+        ctx.scope(|| {
+            let _q = trace::span("query");
+            drop(span("optimize"));
+        });
+        uninstall();
+        let snap = rec.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(paths, ["optimize"], "the trace-only span adds no path");
+        let names: Vec<String> = ctx.spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["query", "optimize"]);
     }
 
     #[test]

@@ -5,11 +5,20 @@
 //! queries; a [`TraceContext`] records *one* query's (or one pipeline
 //! run's) story — which phases ran when, which candidate plans were scored
 //! and why one was chosen, what the deployment gate saw, and which cluster
-//! machines each executor stage actually ran on. The context is an explicit
-//! value passed through the pipeline (never a thread-local or a global), so
-//! callers decide exactly which work is audited and pay nothing elsewhere:
-//! every traced entry point takes an `Option<&TraceContext>` and the `None`
-//! path is a single branch.
+//! machines each executor stage actually ran on.
+//!
+//! A trace is ambient: [`TraceContext::scope`] makes it the calling thread's
+//! current trace for the length of a closure (restored on return and on
+//! unwind), and library functions take no trace parameter. Inside a scope
+//! every [`crate::span`] also opens a span in the trace, [`span`] opens a
+//! trace-only span (for per-query grouping that must not add recorder
+//! paths), [`decision`] records a lazily built [`Decision`], and the
+//! executor records one [`StageExecEvent`] per stage attempt. `mcsim-par`
+//! fan-outs enter the caller's trace on their workers; no other thread
+//! inherits it. [`untraced`] hides the trace from a closure: flighting
+//! replays and the deployment gate's per-query guarded choice run under it.
+//! With no scope entered and no recorder installed, every entry point is one
+//! relaxed atomic load.
 //!
 //! A finished trace exports two ways, both zero-dependency:
 //!
@@ -22,21 +31,24 @@
 //!   audit and a per-stage scheduling summary.
 //!
 //! ```
-//! use mcsim_obs::trace::TraceContext;
+//! use mcsim_obs::trace::{self, TraceContext};
 //!
 //! let ctx = TraceContext::new("query 42");
-//! {
-//!     let opt = ctx.span("optimize");
+//! ctx.scope(|| {
+//!     let opt = mcsim_obs::span("optimize");
 //!     opt.attr("query_id", 42u64);
-//!     let _explore = ctx.span("explore"); // nests under `optimize`
-//! }
+//!     let _explore = trace::span("explore"); // nests under `optimize`
+//! });
 //! assert_eq!(ctx.span_count(), 2);
+//! assert!(trace::current().is_none(), "the scope restored the thread");
 //! let json = ctx.to_chrome_json();
 //! assert!(json.contains("\"traceEvents\""));
 //! ```
 
 use crate::{push_json_f64, push_json_str};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -149,33 +161,37 @@ impl SpanNode {
 
 /// RAII guard for one traced span. Ends the span (records `end_us`) on
 /// drop. Spans opened on the same thread while this guard lives become its
-/// children.
+/// children. An inert guard (from [`span`] outside any trace scope) does
+/// nothing.
 #[must_use = "a trace span measures until dropped; binding it to `_` drops it immediately"]
-pub struct TraceSpan<'a> {
-    ctx: &'a TraceContext,
-    id: usize,
+pub struct TraceSpan {
+    open: Option<(TraceContext, usize)>,
 }
 
-impl TraceSpan<'_> {
-    /// The span's index within the trace (stable; usable as a parent key).
-    pub fn id(&self) -> usize {
-        self.id
+impl TraceSpan {
+    /// A guard that records nothing.
+    pub(crate) const fn inert() -> TraceSpan {
+        TraceSpan { open: None }
     }
 
     /// Attaches a key/value attribute to the span.
     pub fn attr(&self, key: &str, value: impl Into<AttrValue>) {
-        let mut inner = self.ctx.lock();
-        inner.spans[self.id]
-            .attrs
-            .push((key.to_string(), value.into()));
+        if let Some((ctx, id)) = &self.open {
+            ctx.lock().spans[*id]
+                .attrs
+                .push((key.to_string(), value.into()));
+        }
     }
 }
 
-impl Drop for TraceSpan<'_> {
+impl Drop for TraceSpan {
     fn drop(&mut self) {
-        let now = self.ctx.elapsed_us();
-        let mut inner = self.ctx.lock();
-        let track = inner.spans[self.id].track as usize;
+        let Some((ctx, id)) = self.open.take() else {
+            return;
+        };
+        let now = ctx.elapsed_us();
+        let mut inner = ctx.lock();
+        let track = inner.spans[id].track as usize;
         // Pop by identity: guards can legally be dropped out of order (e.g.
         // a Vec of guards drops front-to-back, parents first). Everything
         // above this span on its thread stack is a still-open descendant;
@@ -183,16 +199,16 @@ impl Drop for TraceSpan<'_> {
         // well-nested — a child outliving its parent would otherwise render
         // as partially overlapping X events.
         let closed: Vec<usize> = match inner.threads.get_mut(track) {
-            Some((_, stack)) => match stack.iter().rposition(|&s| s == self.id) {
+            Some((_, stack)) => match stack.iter().rposition(|&s| s == id) {
                 Some(pos) => stack.drain(pos..).collect(),
                 None => Vec::new(), // already force-closed by an ancestor
             },
             None => Vec::new(),
         };
-        for id in closed {
-            inner.spans[id].end_us.get_or_insert(now);
+        for c in closed {
+            inner.spans[c].end_us.get_or_insert(now);
         }
-        inner.spans[self.id].end_us.get_or_insert(now);
+        inner.spans[id].end_us.get_or_insert(now);
     }
 }
 
@@ -376,50 +392,90 @@ struct TraceInner {
     threads: Vec<(ThreadId, Vec<usize>)>,
 }
 
-/// A per-query (or per-run) trace: a span tree with attributes, typed
-/// decision records, and an executor scheduling timeline.
-///
-/// Thread-safe — share a `&TraceContext` (or an `Arc`) across worker
-/// threads freely; spans opened on different threads land on different
-/// tracks and nest per thread.
-pub struct TraceContext {
+struct Shared {
     label: String,
     started: Instant,
     inner: Mutex<TraceInner>,
+}
+
+/// A per-query (or per-run) trace: a span tree with attributes, typed
+/// decision records, and an executor scheduling timeline.
+///
+/// A `TraceContext` is a handle: clones share one trace. It is thread-safe;
+/// spans opened on different threads land on different tracks and nest per
+/// thread. Record into it explicitly ([`TraceContext::span`],
+/// [`TraceContext::decision`]) or make it ambient with
+/// [`TraceContext::scope`].
+#[derive(Clone)]
+pub struct TraceContext {
+    shared: Arc<Shared>,
+}
+
+thread_local! {
+    /// The trace entered on this thread, innermost scope wins.
+    static CURRENT: RefCell<Option<TraceContext>> = const { RefCell::new(None) };
+}
+
+/// Makes `ctx` the thread's current trace until the returned guard drops.
+fn enter(ctx: Option<TraceContext>) -> Restore {
+    crate::STATE.fetch_add(crate::SCOPE_UNIT, Ordering::Relaxed);
+    Restore(CURRENT.with(|c| c.replace(ctx)))
+}
+
+/// Puts the previous trace back on drop, so a scope restores it on return
+/// and on unwind alike.
+struct Restore(Option<TraceContext>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.replace(self.0.take()));
+        crate::STATE.fetch_sub(crate::SCOPE_UNIT, Ordering::Relaxed);
+    }
 }
 
 impl TraceContext {
     /// Creates an empty trace labelled `label` (shown in exports).
     pub fn new(label: impl Into<String>) -> TraceContext {
         TraceContext {
-            label: label.into(),
-            started: Instant::now(),
-            inner: Mutex::new(TraceInner {
-                spans: Vec::new(),
-                decisions: Vec::new(),
-                timeline: Vec::new(),
-                threads: Vec::new(),
+            shared: Arc::new(Shared {
+                label: label.into(),
+                started: Instant::now(),
+                inner: Mutex::new(TraceInner {
+                    spans: Vec::new(),
+                    decisions: Vec::new(),
+                    timeline: Vec::new(),
+                    threads: Vec::new(),
+                }),
             }),
         }
     }
 
+    /// Runs `f` with this trace as the calling thread's current trace, then
+    /// restores the previous one — on return and on unwind. Inside, every
+    /// [`crate::span`], [`span`], [`decision`] and executor stage records
+    /// here, and `mcsim-par` fan-outs carry the trace onto their workers.
+    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _restore = enter(Some(self.clone()));
+        f()
+    }
+
     /// The trace's label.
     pub fn label(&self) -> &str {
-        &self.label
+        &self.shared.label
     }
 
     /// Microseconds since the context was created.
     pub fn elapsed_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
+        self.shared.started.elapsed().as_micros() as u64
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TraceInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        self.shared.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Opens a span named `name`, nested under the innermost span still
     /// open on the *current thread* (threads trace independent lanes).
-    pub fn span(&self, name: impl Into<String>) -> TraceSpan<'_> {
+    pub fn span(&self, name: impl Into<String>) -> TraceSpan {
         let start_us = self.elapsed_us();
         let tid = std::thread::current().id();
         let mut inner = self.lock();
@@ -441,7 +497,9 @@ impl TraceContext {
             attrs: Vec::new(),
         });
         inner.threads[track].1.push(id);
-        TraceSpan { ctx: self, id }
+        TraceSpan {
+            open: Some((self.clone(), id)),
+        }
     }
 
     /// Records a typed decision at the current trace time.
@@ -505,7 +563,7 @@ impl TraceContext {
         let inner = self.lock();
         let mut out = String::with_capacity(4096);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"label\":");
-        push_json_str(&mut out, &self.label);
+        push_json_str(&mut out, self.label());
         out.push_str("},\"traceEvents\":[");
         let mut first = true;
 
@@ -655,7 +713,7 @@ impl TraceContext {
         let now_us = self.elapsed_us();
         let inner = self.lock();
         let mut out = String::with_capacity(2048);
-        out.push_str(&format!("=== trace: {} ===\n", self.label));
+        out.push_str(&format!("=== trace: {} ===\n", self.label()));
         out.push_str(&format!(
             "spans: {}   decisions: {}   executor stage events: {}\n",
             inner.spans.len(),
@@ -818,6 +876,47 @@ impl TraceContext {
             ));
         }
         out
+    }
+}
+
+// ---------------------------------------------------------------- ambient
+
+/// The calling thread's current trace: the innermost
+/// [`TraceContext::scope`] it is inside, if any. Outside every scope this
+/// is one relaxed atomic load.
+pub fn current() -> Option<TraceContext> {
+    if !crate::tracing() {
+        return None;
+    }
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Runs `f` with no current trace on this thread, restoring it afterwards
+/// (also on unwind). For work that must stay out of the audit however it
+/// is called, such as flighting replays.
+pub fn untraced<R>(f: impl FnOnce() -> R) -> R {
+    if !crate::tracing() {
+        return f();
+    }
+    let _restore = enter(None);
+    f()
+}
+
+/// Opens a span in the current trace only — the aggregate recorder never
+/// sees it. For per-query grouping spans (`query`, …) that would otherwise
+/// add a recorder path per phase. Inert outside a trace scope.
+pub fn span(name: impl Into<String>) -> TraceSpan {
+    match current() {
+        Some(ctx) => ctx.span(name),
+        None => TraceSpan::inert(),
+    }
+}
+
+/// Records the decision `build` returns into the current trace. `build`
+/// runs only inside a trace scope, so records cost nothing untraced.
+pub fn decision(build: impl FnOnce() -> Decision) {
+    if let Some(ctx) = current() {
+        ctx.decision(build());
     }
 }
 
@@ -1127,6 +1226,64 @@ mod tests {
         assert!(json.contains("\"still_running\""));
         let report = ctx.to_text_report();
         assert!(report.contains("[open]"));
+    }
+
+    fn fallback(query_id: u64) -> Decision {
+        Decision::Fallback(Fallback {
+            query_id,
+            reason: "test".into(),
+        })
+    }
+
+    #[test]
+    fn scope_is_ambient_nests_and_restores_on_return_and_unwind() {
+        assert!(current().is_none());
+        let outer = TraceContext::new("outer");
+        let inner = TraceContext::new("inner");
+        outer.scope(|| {
+            let _q = span("query");
+            decision(|| fallback(1));
+            inner.scope(|| {
+                drop(span("nested"));
+                decision(|| fallback(2));
+            });
+            assert_eq!(
+                current().map(|c| c.label().to_string()),
+                Some("outer".into())
+            );
+            let _e = span("execute");
+        });
+        assert!(current().is_none(), "scope must restore on return");
+        let names: Vec<String> = outer.spans().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["query", "execute"]);
+        assert_eq!(
+            outer.spans()[1].parent,
+            Some(0),
+            "execute nests under query"
+        );
+        assert_eq!(outer.decisions(), [fallback(1)]);
+        assert_eq!(inner.decisions(), [fallback(2)]);
+        assert_eq!(inner.span_count(), 1);
+
+        let caught = std::panic::catch_unwind(|| outer.scope(|| panic!("boom")));
+        assert!(caught.is_err());
+        assert!(current().is_none(), "scope must restore on unwind");
+    }
+
+    #[test]
+    fn untraced_hides_the_trace_and_decisions_build_lazily() {
+        let ctx = TraceContext::new("untraced");
+        ctx.scope(|| {
+            untraced(|| {
+                assert!(current().is_none());
+                decision(|| panic!("must not be built while untraced"));
+                drop(span("hidden"));
+            });
+            assert!(current().is_some(), "untraced restores the trace");
+        });
+        decision(|| panic!("must not be built outside a scope"));
+        assert_eq!(ctx.span_count(), 0);
+        assert_eq!(ctx.decision_count(), 0);
     }
 
     #[test]

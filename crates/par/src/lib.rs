@@ -40,7 +40,10 @@
 //! invocation count (`par.invocations`), chunk count (`par.chunks`), chunks
 //! executed by spawned workers rather than the caller (`par.chunks_stolen`),
 //! the worker count (`par.threads` gauge), and a per-worker busy-time
-//! histogram (`par.worker_busy_s`).
+//! histogram (`par.worker_busy_s`). A fan-out issued inside a
+//! [`mcsim_obs::trace::TraceContext::scope`] enters that trace on every
+//! worker, so spans and decisions recorded by the jobs land in it — the
+//! only place a trace crosses threads.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -387,11 +390,16 @@ where
             }
         }
     };
+    // Workers record into the caller's trace, if it is inside one.
+    let trace = mcsim_obs::trace::current();
     std::thread::scope(|s| {
         for _ in 1..threads.min(n) {
             s.spawn(|| {
                 let _worker = enter_worker();
-                drain(false);
+                match &trace {
+                    Some(ctx) => ctx.scope(|| drain(false)),
+                    None => drain(false),
+                }
             });
         }
         let _worker = enter_worker();
@@ -584,6 +592,53 @@ mod tests {
         assert_eq!(snap.counter("par.invocations"), 1);
         assert!(snap.counter("par.chunks") >= 4);
         assert!(snap.histogram("par.worker_busy_s").is_some());
+    }
+
+    #[test]
+    fn fan_outs_inherit_the_callers_trace() {
+        use mcsim_obs::trace::{self, Decision, Fallback, TraceContext};
+        let _guard = GLOBAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let items: Vec<u64> = (0..64).collect();
+        let job = |&x: &u64| {
+            let _s = mcsim_obs::span("job");
+            trace::decision(|| {
+                Decision::Fallback(Fallback {
+                    query_id: x,
+                    reason: "job".into(),
+                })
+            });
+            trace::current().is_some()
+        };
+        for t in [1, 2, 8] {
+            let pool = ThreadPool::new(t);
+            let ctx = TraceContext::new("par");
+            let traced = ctx.scope(|| pool.parallel_map(&items, job));
+            assert!(traced.iter().all(|&b| b), "{t} threads: a job ran untraced");
+            assert_eq!(ctx.span_count(), items.len(), "{t} threads");
+            let mut ids: Vec<u64> = ctx
+                .decisions()
+                .iter()
+                .map(|d| match d {
+                    Decision::Fallback(f) => f.query_id,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            ids.sort_unstable();
+            assert_eq!(ids, items, "{t} threads");
+            assert!(trace::current().is_none(), "{t} threads: scope leaked");
+
+            let caught = std::panic::catch_unwind(|| {
+                ctx.scope(|| pool.parallel_map(&items, |&x| assert!(x < 32, "boom")))
+            });
+            assert!(caught.is_err());
+            assert!(trace::current().is_none(), "{t} threads: leaked on panic");
+
+            // Outside every scope a fan-out records into no trace.
+            let before = (ctx.span_count(), ctx.decision_count());
+            let untraced = pool.parallel_map(&items, job);
+            assert!(untraced.iter().all(|&b| !b), "{t} threads");
+            assert_eq!((ctx.span_count(), ctx.decision_count()), before);
+        }
     }
 
     #[test]

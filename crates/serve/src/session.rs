@@ -24,7 +24,7 @@
 use crate::arrival::{generate_arrivals, Arrival, ArrivalProfile};
 use crate::cache::{CachedDecision, DecisionCache};
 use loam_core::featurize::FeatureCache;
-use loam_core::gate::{validate_traced, GateConfig};
+use loam_core::gate::{validate, GateConfig};
 use loam_core::inference::{EnvStrategy, DEFAULT_MARGIN};
 use loam_core::pipeline::EvaluatedQuery;
 use loam_core::predictor::baselines::CostModel;
@@ -34,7 +34,7 @@ use loam_core::serving::RobustServer;
 use loam_core::LoamError;
 use mcsim_catalog::Catalog;
 use mcsim_exec::{ChaosScenario, ClusterConfig, EngineMode};
-use mcsim_obs::trace::{Decision, Fallback, TraceContext};
+use mcsim_obs::trace::{self, Decision, Fallback, TraceContext};
 use mcsim_obs::Histogram;
 use mcsim_plan::{PlanSignature, PlanTree};
 use std::collections::HashMap;
@@ -568,6 +568,9 @@ impl ServeSession {
     /// the report. `model` is gated once up front; every admitted request
     /// then runs selection (batched, cached) and execution (parallel,
     /// per-request executors) down the fallback ladder.
+    ///
+    /// Spans, decisions and executor stages go to `trace` when given
+    /// (entered as the root trace for this run), else to the current trace.
     pub fn run<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
@@ -575,6 +578,9 @@ impl ServeSession {
         catalog: &Catalog,
         trace: Option<&TraceContext>,
     ) -> Result<ServeReport, LoamError> {
+        if let Some(ctx) = trace {
+            return ctx.scope(|| self.run(model, templates, catalog, None));
+        }
         if templates.is_empty() {
             return Err(LoamError::EmptyWorkload(
                 "serving needs at least one template".into(),
@@ -601,13 +607,7 @@ impl ServeSession {
         let digests = self.template_digests(templates);
         mcsim_obs::counter("loam.serve.requests", arrivals.len() as u64);
 
-        let gate = validate_traced(
-            model,
-            self.server.strategy(),
-            templates,
-            &self.cfg.gate,
-            trace,
-        );
+        let gate = validate(model, self.server.strategy(), templates, &self.cfg.gate);
         let gate_deployed = gate.deploy();
 
         let feat0 = self
@@ -645,15 +645,7 @@ impl ServeSession {
         for (a, &is_shed) in arrivals.iter().zip(&shed) {
             if is_shed {
                 // Flush first so the log stays in sequence order.
-                self.flush_batch(
-                    model,
-                    templates,
-                    catalog,
-                    &digests,
-                    &mut batch,
-                    &mut report,
-                    trace,
-                );
+                self.flush_batch(model, templates, catalog, &digests, &mut batch, &mut report);
                 mcsim_obs::counter("loam.serve.shed", 1);
                 report.shed += 1;
                 report.decision_log.push(DecisionRecord {
@@ -667,26 +659,10 @@ impl ServeSession {
             }
             batch.push(a);
             if batch.len() == self.cfg.batch_size {
-                self.flush_batch(
-                    model,
-                    templates,
-                    catalog,
-                    &digests,
-                    &mut batch,
-                    &mut report,
-                    trace,
-                );
+                self.flush_batch(model, templates, catalog, &digests, &mut batch, &mut report);
             }
         }
-        self.flush_batch(
-            model,
-            templates,
-            catalog,
-            &digests,
-            &mut batch,
-            &mut report,
-            trace,
-        );
+        self.flush_batch(model, templates, catalog, &digests, &mut batch, &mut report);
         report.wall_s = t_run.elapsed().as_secs_f64();
 
         let feat1 = self
@@ -706,7 +682,6 @@ impl ServeSession {
 
     /// Scores and executes one batch of admitted arrivals, appending their
     /// records to the report in order. Clears `batch`.
-    #[allow(clippy::too_many_arguments)]
     fn flush_batch<M: CostModel + Sync + ?Sized>(
         &self,
         model: &M,
@@ -715,7 +690,6 @@ impl ServeSession {
         digests: &[u64],
         batch: &mut Vec<&Arrival>,
         report: &mut ServeReport,
-        trace: Option<&TraceContext>,
     ) {
         if batch.is_empty() {
             return;
@@ -732,12 +706,12 @@ impl ServeSession {
             // Gate hold: every request serves its default plan unscored.
             for a in batch.iter() {
                 mcsim_obs::counter("loam.fallback.gate_hold", 1);
-                if let Some(t) = trace {
-                    t.decision(Decision::Fallback(Fallback {
+                trace::decision(|| {
+                    Decision::Fallback(Fallback {
                         query_id: templates[a.template as usize].query_id,
                         reason: "deployment gate held the model; serving default plan".into(),
-                    }));
-                }
+                    })
+                });
             }
             for a in batch.iter() {
                 decided.entry(a.template).or_insert((
@@ -770,13 +744,9 @@ impl ServeSession {
             }
             if !to_score.is_empty() {
                 let t_infer = std::time::Instant::now();
-                let _s = mcsim_obs::span("serve.batch_infer");
-                let _ts = trace.map(|t| {
-                    let s = t.span("serve.batch_infer");
-                    s.attr("templates", to_score.len());
-                    s.attr("requests", batch.len());
-                    s
-                });
+                let s = mcsim_obs::span("serve.batch_infer");
+                s.attr("templates", to_score.len());
+                s.attr("requests", batch.len());
                 // One forest forward over every candidate of every
                 // to-be-scored template.
                 let mut refs: Vec<&PlanTree> = Vec::new();
@@ -798,7 +768,7 @@ impl ServeSession {
                         slice_refs,
                         slice_costs,
                         eq.default_idx,
-                        trace,
+                        None,
                         eq.query_id,
                     );
                     let d = CachedDecision {
@@ -828,14 +798,10 @@ impl ServeSession {
         let outcomes: Vec<(RobustQueryResult, f64)> = mcsim_par::ThreadPool::global()
             .parallel_map_gated(&jobs, 10_000, |(a, d, base, _)| {
                 let eq = &templates[a.template as usize];
-                let _s = mcsim_obs::span("serve.request");
-                let _ts = trace.map(|t| {
-                    let s = t.span("serve.request");
-                    s.attr("seq", a.seq);
-                    s.attr("tenant", a.tenant as u64);
-                    s.attr("query_id", eq.query_id);
-                    s
-                });
+                let s = mcsim_obs::span("serve.request");
+                s.attr("seq", a.seq);
+                s.attr("tenant", a.tenant as u64);
+                s.attr("query_id", eq.query_id);
                 let t_exec = std::time::Instant::now();
                 let mut exec = ChaosScenario::new(request_seed(self.cfg.seed, a.seq))
                     .cluster(self.cluster.clone())
@@ -844,7 +810,7 @@ impl ServeSession {
                     .build();
                 let qr = self
                     .server
-                    .execute_resolved(&mut exec, eq, d.choice, *base, catalog, trace);
+                    .execute_resolved(&mut exec, eq, d.choice, *base, catalog);
                 (qr, t_exec.elapsed().as_secs_f64())
             });
 

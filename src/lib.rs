@@ -61,20 +61,17 @@ pub mod prelude {
         load_predictor, load_ranker, save_predictor, save_ranker, PersistError,
     };
     pub use loam_core::pipeline::{
-        evaluate_best_achievable, evaluate_candidates, evaluate_candidates_traced, evaluate_model,
-        evaluate_model_traced, evaluate_native, prepare_project, project_improvement_space,
-        train_loam, EvaluatedQuery, ModelEvaluation, PipelineConfig, PipelineConfigBuilder,
-        PreparedProject,
+        evaluate_best_achievable, evaluate_candidates, evaluate_model, evaluate_native,
+        prepare_project, project_improvement_space, train_loam, EvaluatedQuery, ModelEvaluation,
+        PipelineConfig, PipelineConfigBuilder, PreparedProject,
     };
     pub use loam_core::predictor::baselines::CostModel;
     pub use loam_core::predictor::train::{train, TrainConfig, TrainReport, TrainSample};
     pub use loam_core::robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
-    pub use loam_core::selector::{
-        evaluate_filter, evaluate_filter_traced, ranker_features, FilterConfig, Ranker,
-    };
+    pub use loam_core::selector::{evaluate_filter, ranker_features, FilterConfig, Ranker};
     pub use loam_core::serving::RobustServer;
     pub use loam_core::theory::{Deviance, KsTest, LogNormal};
-    pub use loam_core::{validate_deployment, validate_deployment_traced};
+    pub use loam_core::validate_deployment;
     pub use loam_core::{AdaptiveCostPredictor, EnvSource, PlanFeaturizer};
     pub use mcsim_catalog::{
         Catalog, EnvMetrics, Project, ProjectId, ProjectProfile, QueryRepository, QuerySpec,

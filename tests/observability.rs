@@ -138,21 +138,25 @@ fn pipeline_run_emits_span_tree_and_counters() {
 #[test]
 fn traced_pipeline_captures_spans_decisions_and_the_chrome_export() {
     // Tracing is independent of the recorder slot: no install/uninstall
-    // needed, the context is an explicit handle.
+    // needed, the context is entered for the calls it should audit.
     let cfg = tiny_cfg();
     let prepared = prepare_project(&tiny_profile(), ProjectId(79), &cfg).unwrap();
     let predictor = train_loam(&prepared, &cfg).unwrap();
     let ctx = TraceContext::new("integration");
-    let evaluated = evaluate_candidates_traced(&prepared, &cfg, Some(&ctx)).unwrap();
+    let evaluated = ctx.scope(|| evaluate_candidates(&prepared, &cfg)).unwrap();
+    assert_eq!(ctx.timeline_len(), 0, "flighting replays stay untraced");
+    assert_eq!(ctx.decision_count(), 0);
     let strategy = EnvStrategy::MeanHistorical(prepared.mean_env);
-    let eval = evaluate_model_traced(&predictor, &strategy, &evaluated, Some(&ctx)).unwrap();
+    let eval = ctx
+        .scope(|| evaluate_model(&predictor, &strategy, &evaluated))
+        .unwrap();
     assert!(eval.avg_cost > 0.0);
-    validate_deployment_traced(
-        &predictor,
-        &strategy,
-        &evaluated,
-        &GateConfig::default(),
-        Some(&ctx),
+    let before_gate = ctx.decisions().len();
+    ctx.scope(|| validate_deployment(&predictor, &strategy, &evaluated, &GateConfig::default()));
+    let gate_records = ctx.decisions().split_off(before_gate);
+    assert!(
+        matches!(gate_records.as_slice(), [Decision::GateVerdict(_)]),
+        "the gate records its verdict and no plan selection: {gate_records:?}"
     );
 
     // Every steered query left a typed plan-selection record carrying all
@@ -239,13 +243,7 @@ fn chaos_serving_emits_fault_retry_and_fallback_counters() {
     };
     let report = RobustServer::new(strategy, robust_cfg)
         .expect("valid guard margin")
-        .serve_all(
-            &NanModel,
-            &evaluated,
-            &mut exec,
-            &prepared.project.catalog,
-            None,
-        )
+        .serve_all(&NanModel, &evaluated, &mut exec, &prepared.project.catalog)
         .expect("robust serving terminates");
 
     mcsim_obs::uninstall();
@@ -325,7 +323,7 @@ fn chrome_export_stays_well_nested_when_stages_are_killed_mid_flight() {
     let ctx = TraceContext::new("kill-nesting");
     let mut killed_seen = false;
     for rec in prepared.repo.records().iter().take(12) {
-        let _ = exec.try_execute_traced(&rec.plan, &prepared.project.catalog, Some(&ctx));
+        let _ = ctx.scope(|| exec.try_execute(&rec.plan, &prepared.project.catalog));
     }
     for ev in ctx.timeline() {
         killed_seen |= ev.killed;

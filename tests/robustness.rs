@@ -108,15 +108,16 @@ fn aggressive_chaos_terminates_and_records_fallback_provenance() {
         .build();
 
     let ctx = TraceContext::new("robustness");
-    let report = RobustServer::new(strategy, cfg)
-        .expect("valid guard margin")
-        .serve_all(
-            &NodeCountModel,
-            &evaluated,
-            &mut exec,
-            &prepared.project.catalog,
-            Some(&ctx),
-        )
+    let server = RobustServer::new(strategy, cfg).expect("valid guard margin");
+    let report = ctx
+        .scope(|| {
+            server.serve_all(
+                &NodeCountModel,
+                &evaluated,
+                &mut exec,
+                &prepared.project.catalog,
+            )
+        })
         .expect("robust serving must terminate with a report, never panic");
 
     // Every query landed on some rung of the ladder.
@@ -164,15 +165,9 @@ fn nan_predictor_degrades_every_query_to_the_default_plan() {
     let mut exec = ChaosScenario::new(7).fault_scale(0.0).build();
 
     let ctx = TraceContext::new("nan-predictor");
-    let report = RobustServer::new(strategy, cfg)
-        .expect("valid guard margin")
-        .serve_all(
-            &NanModel,
-            &evaluated,
-            &mut exec,
-            &prepared.project.catalog,
-            Some(&ctx),
-        )
+    let server = RobustServer::new(strategy, cfg).expect("valid guard margin");
+    let report = ctx
+        .scope(|| server.serve_all(&NanModel, &evaluated, &mut exec, &prepared.project.catalog))
         .expect("a broken predictor must degrade, not fail the run");
 
     assert!((report.completion_rate() - 1.0).abs() < 1e-12);
@@ -204,15 +199,16 @@ fn gate_hold_serves_every_query_with_the_default_plan() {
     let mut exec = ChaosScenario::new(11).fault_scale(0.0).build();
 
     let ctx = TraceContext::new("gate-hold");
-    let report = RobustServer::new(strategy, cfg)
-        .expect("valid guard margin")
-        .serve_all(
-            &NodeCountModel,
-            &evaluated,
-            &mut exec,
-            &prepared.project.catalog,
-            Some(&ctx),
-        )
+    let server = RobustServer::new(strategy, cfg).expect("valid guard margin");
+    let report = ctx
+        .scope(|| {
+            server.serve_all(
+                &NodeCountModel,
+                &evaluated,
+                &mut exec,
+                &prepared.project.catalog,
+            )
+        })
         .expect("gate hold must degrade, not fail the run");
 
     assert!(!report.gate_deployed);
@@ -243,7 +239,6 @@ fn gate_hold_serves_every_query_with_the_default_plan() {
         &evaluated,
         &mut exec2,
         &prepared.project.catalog,
-        None,
     )
     .expect("disarmed ladder without faults still completes");
     assert!(report2.results.iter().all(|r| !r.resolution.is_degraded()));
