@@ -161,21 +161,12 @@ fn benches(c: &mut Criterion) {
         })
     });
 
-    // Workspace-reuse vs. allocating MLP train step (forward + MSE +
-    // backward): the ws leg keeps its activation buffers, gradient set, and
-    // scratch arena alive across iterations and allocates nothing once warm.
-    let mut mlp = tinynn::Mlp::new(&[32, 16, 1], &mut rng);
+    // One MLP train step (forward + MSE + backward) through the workspace
+    // API: activation buffers, gradient set, and scratch arena stay alive
+    // across iterations, so the step allocates nothing once warm.
+    let mlp = tinynn::Mlp::new(&[32, 16, 1], &mut rng);
     let mx = Mat::from_fn(16, 32, |i, j| ((i * 7 + j * 3) % 19) as f32 / 19.0 - 0.5);
     let target = Mat::from_fn(16, 1, |i, _| (i % 4) as f32 / 4.0);
-    c.bench_function("mlp_step_allocating", |b| {
-        b.iter(|| {
-            let (y, mlp_cache) = mlp.forward(black_box(&mx));
-            let (loss, grad) = tinynn::mse(&y, &target);
-            mlp.zero_grad();
-            mlp.backward(&mlp_cache, &grad);
-            loss
-        })
-    });
     let mut ws = tinynn::MlpWs::default();
     let mut grads = tinynn::GradSet::from_shapes(&mlp.grad_shapes());
     let mut grad = Mat::default();

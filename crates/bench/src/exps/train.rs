@@ -1,9 +1,8 @@
 //! The training hot-path benchmark: times the fig7 project's DANN training
-//! phase three ways — the legacy allocating path serially, the workspace
-//! engine serially, and the workspace engine on a multi-thread pool — and
-//! reports wall-clock, speedup, allocations per optimizer step (via the
-//! counting allocator installed by the `experiments` binary), and a
-//! bit-identity check between the serial and parallel workspace runs.
+//! phase on one thread and on a multi-thread pool, and reports wall-clock,
+//! speedup, allocations per optimizer step (via the counting allocator
+//! installed by the `experiments` binary), and a bit-identity check between
+//! the two runs' weights.
 //! Writes `BENCH_train.json` as a [`BenchReport`]: one row per leg, with
 //! the training wall-clock as `time` and the step and warm-allocation
 //! counts as `work`.
@@ -11,7 +10,7 @@
 use crate::report::{BenchReport, Table};
 use crate::scale::{scaled_eval_profile, scaled_pipeline_config, Scale};
 use loam_core::pipeline::prepare_project;
-use loam_core::{train, train_reference, AdaptiveCostPredictor, TrainReport};
+use loam_core::{train, AdaptiveCostPredictor, TrainReport};
 use mcsim_catalog::ProjectId;
 
 /// Minimum thread count for the parallel leg: the benchmark forces at least
@@ -52,7 +51,7 @@ fn weight_bits(p: &AdaptiveCostPredictor) -> Vec<u32> {
 /// Runs the benchmark and writes `BENCH_train.json` into the current
 /// directory.
 pub fn run(scale: Scale) {
-    println!("Training hot-path benchmark — fig7 project, legacy vs workspace engine\n");
+    println!("Training hot-path benchmark — fig7 project, serial vs pool\n");
     let configured = mcsim_par::threads();
     let parallel_threads = configured.max(MIN_PARALLEL_THREADS);
     if configured < MIN_PARALLEL_THREADS {
@@ -76,12 +75,11 @@ pub fn run(scale: Scale) {
 
     // Each leg trains a fresh predictor from the same seed (mirroring
     // `train_loam`) under its own thread count.
-    let leg = |name: &'static str, threads: usize, reference: bool| -> Leg {
+    let leg = |name: &'static str, threads: usize| -> Leg {
         eprintln!("{name} ({threads} thread(s))...");
         let prev = mcsim_par::set_threads(threads);
         let mut p = AdaptiveCostPredictor::new(cfg.seed ^ 0x10a0, true);
-        let f = if reference { train_reference } else { train };
-        let report = f(
+        let report = train(
             &mut p,
             &prepared.train_samples,
             &prepared.da_candidates,
@@ -97,21 +95,15 @@ pub fn run(scale: Scale) {
         }
     };
 
-    let legacy = leg("legacy_serial", 1, true);
-    let ws_serial = leg("workspace_serial", 1, false);
-    let ws_parallel = leg("workspace_pool", parallel_threads, false);
+    let ws_serial = leg("workspace_serial", 1);
+    let ws_parallel = leg("workspace_pool", parallel_threads);
 
-    // Determinism: the workspace engine must be bit-identical at any thread
-    // count AND bit-identical to the legacy allocating path.
+    // Determinism: the engine must be bit-identical at any thread count.
     assert_eq!(
         ws_serial.weights, ws_parallel.weights,
-        "serial and parallel workspace weights diverged"
+        "serial and parallel weights diverged"
     );
-    assert_eq!(
-        legacy.weights, ws_serial.weights,
-        "legacy and workspace weights diverged"
-    );
-    println!("weights bit-identical across legacy / serial ws / {parallel_threads}-thread ws ✓\n");
+    println!("weights bit-identical across 1 / {parallel_threads} threads ✓\n");
 
     let mut t = Table::new([
         "leg",
@@ -120,18 +112,19 @@ pub fn run(scale: Scale) {
         "speedup",
         "allocs/step (warm)",
     ]);
-    for l in [&legacy, &ws_serial, &ws_parallel] {
+    let serial_s = ws_serial.report.seconds;
+    for l in [&ws_serial, &ws_parallel] {
         t.row([
             l.name.to_string(),
             l.threads.to_string(),
             format!("{:.3}", l.report.seconds),
-            format!("{:.2}x", legacy.report.seconds / l.report.seconds.max(1e-9)),
+            format!("{:.2}x", serial_s / l.report.seconds.max(1e-9)),
             format!("{:.1}", steady_allocs_per_step(&l.report)),
         ]);
     }
     println!("{}", t.render());
 
-    bench_report(scale, &[legacy, ws_serial, ws_parallel]).write("BENCH_train.json");
+    bench_report(scale, &[ws_serial, ws_parallel]).write("BENCH_train.json");
 }
 
 /// The legs as a [`BenchReport`] at the widest leg's thread count.
@@ -169,6 +162,7 @@ mod tests {
                 epoch_seconds: vec![secs / 2.0, secs / 2.0],
                 epoch_allocs: vec![100, 0],
                 steps: 20,
+                workers: threads,
             },
             weights: Vec::new(),
         }
@@ -177,7 +171,6 @@ mod tests {
     #[test]
     fn bench_report_has_one_row_per_leg() {
         let legs = [
-            leg("legacy_serial", 1, 4.0),
             leg("workspace_serial", 1, 2.0),
             leg("workspace_pool", 4, 1.0),
         ];
@@ -185,15 +178,16 @@ mod tests {
         assert_eq!(r.bench, "train");
         assert_eq!(r.scale, "small");
         assert_eq!(r.threads, 4);
-        assert_eq!(r.rows.len(), 3);
+        assert_eq!(r.rows.len(), 2);
         let pool = r.row("workspace_pool").expect("pool row");
         assert_eq!(pool.time["train"], 1.0);
         assert_eq!(pool.work["threads"], 4);
         assert_eq!(pool.work["epochs"], 2);
         assert_eq!(pool.work["steps"], 20);
         assert_eq!(pool.work["allocs_last_epoch"], 0);
-        let legacy = r.row("legacy_serial").expect("legacy row");
-        assert_eq!(legacy.time["train"] / pool.time["train"], 4.0);
+        let serial = r.row("workspace_serial").expect("serial row");
+        assert_eq!(serial.work["threads"], 1);
+        assert_eq!(serial.time["train"] / pool.time["train"], 2.0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use gate::{validate as validate_deployment, GateConfig, GateReport};
 pub use inference::{guarded_choice, select_plan, EnvStrategy, DEFAULT_MARGIN};
 pub use persist::{load_predictor, load_ranker, save_predictor, save_ranker, PersistError};
 pub use predictor::baselines::{CostModel, GcnPredictor, TransformerPredictor, XgbPredictor};
-pub use predictor::train::{train, train_reference, TrainConfig, TrainReport, TrainSample};
+pub use predictor::train::{train, TrainConfig, TrainReport, TrainSample};
 pub use predictor::{with_thread_infer_ws, AdaptiveCostPredictor, InferWs};
 pub use robust::{Resolution, RobustConfig, RobustQueryResult, RobustRunReport};
 pub use selector::{FilterConfig, FilterReport, Ranker};

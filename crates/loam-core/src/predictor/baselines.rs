@@ -16,7 +16,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tinygbdt::{Gbdt, GbdtConfig};
 use tinynn::gcn::Graph;
-use tinynn::{mse, AdamConfig, Gcn, Mat, Mlp, Transformer};
+use tinynn::{
+    mse_into, AdamConfig, Gcn, GcnWs, GradSet, Mat, Mlp, MlpWs, Param, Transformer, TransformerWs,
+    Workspace,
+};
 
 /// Common interface of every cost model in the evaluation harness.
 pub trait CostModel: Send + Sync {
@@ -118,6 +121,51 @@ impl LabelStats {
     }
 }
 
+/// Reusable buffers for the cost-head half of one supervised training
+/// sample: head forward, MSE, head backward.
+struct HeadStep {
+    ws: MlpWs,
+    grads: GradSet,
+    target: Mat,
+    grad: Mat,
+    /// Gradient w.r.t. the embedding, left by [`HeadStep::run`].
+    gemb: Mat,
+    scratch: Workspace,
+}
+
+impl HeadStep {
+    fn new(head: &Mlp) -> HeadStep {
+        HeadStep {
+            ws: MlpWs::default(),
+            grads: GradSet::from_shapes(&head.grad_shapes()),
+            target: Mat::zeros(1, 1),
+            grad: Mat::default(),
+            gemb: Mat::default(),
+            scratch: Workspace::new(),
+        }
+    }
+
+    /// Regresses `head(emb)` on `label` with the gradient scaled by `inv`.
+    /// The head's gradients are computed into zeroed buffers and then added
+    /// to its accumulators, one sample at a time.
+    fn run(&mut self, head: &mut Mlp, emb: &Mat, label: f32, inv: f32) {
+        head.forward_ws(emb, &mut self.ws);
+        self.target.data[0] = label;
+        mse_into(self.ws.out(), &self.target, &mut self.grad);
+        self.grad.scale(inv);
+        self.grads.zero();
+        head.backward_ws(
+            emb,
+            &self.ws,
+            &self.grad,
+            &mut self.grads.mats,
+            Some(&mut self.gemb),
+            &mut self.scratch,
+        );
+        head.add_grads(&self.grads.mats);
+    }
+}
+
 /// Transformer-based cost model.
 #[derive(Debug, Clone)]
 pub struct TransformerPredictor {
@@ -147,6 +195,8 @@ impl TransformerPredictor {
         let labels: Vec<f32> = samples.iter().map(|s| stats.normalize(s.cost)).collect();
         let adam = AdamConfig::default();
         let mut order: Vec<usize> = (0..samples.len()).collect();
+        let mut ws = TransformerWs::default();
+        let mut step = HeadStep::new(&head);
         let mut t = 0;
         for epoch in 0..cfg.epochs {
             order.shuffle(&mut rng);
@@ -156,12 +206,9 @@ impl TransformerPredictor {
                 head.zero_grad();
                 let inv = 1.0 / batch.len() as f32;
                 for &i in batch {
-                    let (emb, cache) = encoder.forward(&feats[i]);
-                    let (pred, hcache) = head.forward(&emb);
-                    let (_, mut grad) = mse(&pred, &Mat::from_vec(1, 1, vec![labels[i]]));
-                    grad.scale(inv);
-                    let gemb = head.backward(&hcache, &grad);
-                    encoder.backward(&cache, &gemb);
+                    encoder.forward_ws(&feats[i], &mut ws);
+                    step.run(&mut head, ws.emb(), labels[i], inv);
+                    encoder.backward_ws(&feats[i], &ws, &step.gemb, &mut step.scratch);
                 }
                 t += 1;
                 encoder.adam_step(lr, t, &adam);
@@ -174,6 +221,13 @@ impl TransformerPredictor {
             head,
             stats,
         }
+    }
+
+    /// Every trained parameter: the encoder's, then the head's.
+    pub fn params(&self) -> Vec<&Param> {
+        let mut out = self.encoder.params();
+        out.extend(self.head.params());
+        out
     }
 }
 
@@ -220,6 +274,8 @@ impl GcnPredictor {
         let labels: Vec<f32> = samples.iter().map(|s| stats.normalize(s.cost)).collect();
         let adam = AdamConfig::default();
         let mut order: Vec<usize> = (0..samples.len()).collect();
+        let mut ws = GcnWs::default();
+        let mut step = HeadStep::new(&head);
         let mut t = 0;
         for epoch in 0..cfg.epochs {
             order.shuffle(&mut rng);
@@ -230,12 +286,9 @@ impl GcnPredictor {
                 let inv = 1.0 / batch.len() as f32;
                 for &i in batch {
                     let (x, g) = &feats[i];
-                    let (emb, cache) = encoder.forward(x, g);
-                    let (pred, hcache) = head.forward(&emb);
-                    let (_, mut grad) = mse(&pred, &Mat::from_vec(1, 1, vec![labels[i]]));
-                    grad.scale(inv);
-                    let gemb = head.backward(&hcache, &grad);
-                    encoder.backward(&cache, g, &gemb);
+                    encoder.forward_ws(x, g, &mut ws);
+                    step.run(&mut head, ws.emb(), labels[i], inv);
+                    encoder.backward_ws(g, &ws, &step.gemb, &mut step.scratch);
                 }
                 t += 1;
                 encoder.adam_step(lr, t, &adam);
@@ -248,6 +301,13 @@ impl GcnPredictor {
             head,
             stats,
         }
+    }
+
+    /// Every trained parameter: the encoder's, then the head's.
+    pub fn params(&self) -> Vec<&Param> {
+        let mut out = self.encoder.params();
+        out.extend(self.head.params());
+        out
     }
 }
 

@@ -10,20 +10,20 @@
 //!
 //! ## Hot path
 //!
-//! Each optimizer step splits its minibatch into fixed-boundary *microbatch
-//! slots* (`TrainConfig::microbatches`). Every slot owns a reusable
-//! `SlotState` — gradient buffers, layer workspaces, and scratch — so the
-//! per-sample forward/backward work runs through tinynn's allocation-free
-//! `_ws` kernels and performs zero heap allocation after the first step.
+//! Each optimizer step splits its minibatch into 8 fixed-boundary
+//! *microbatch slots*. Every slot owns a reusable `SlotState` — gradient
+//! buffers, layer workspaces, and scratch — so the per-sample
+//! forward/backward work runs through tinynn's allocation-free `_ws`
+//! kernels and performs zero heap allocation after the first step.
 //! Plan-feature rows are ~90% zeros, so `prepare` also builds a CSR nonzero
 //! index per plan ([`SparseRows`]) and the encoder's first conv layer — the
 //! dominant share of a step's multiply-accumulates — runs its sparse
 //! kernels, which are bit-identical to the dense ones.
-//! Slots are distributed over persistent worker threads (spawned once per
-//! `train` call, synchronized with barriers) and their gradients are folded
-//! in slot-index order, so the final weights are bit-identical regardless of
-//! thread count — and identical to [`train_reference`], the legacy
-//! allocating path kept as a cross-check.
+//! One engine runs the slots: the calling thread is worker 0 and `W − 1`
+//! persistent scoped threads (spawned once per `train` call, synchronized
+//! with barriers) are the others; worker `w` runs slots `w, w + W, …`. The
+//! slot gradients are folded in slot-index order, so the final weights are
+//! bit-identical at any `W` — including `W = 1`, where nothing is spawned.
 
 use super::AdaptiveCostPredictor;
 use crate::featurize::{CachedFeatures, EnvSource, FeatureCache};
@@ -37,9 +37,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 use tinynn::workspace::alloc_probe;
 use tinynn::{
-    cross_entropy_logits, cross_entropy_logits_into, lambda_schedule, mse, mse_into,
-    reverse_gradient, AdamConfig, GradSet, Mat, MlpWs, SparseRows, TcnWs, Workspace,
+    cross_entropy_logits_into, lambda_schedule, mse_into, AdamConfig, GradSet, Mat, MlpWs,
+    SparseRows, TcnWs, Workspace,
 };
+
+/// Microbatch slots per optimizer step. Slot boundaries depend only on the
+/// batch length and this value, and slot gradients are folded in slot-index
+/// order, so results are bit-identical at any thread count.
+const MICROBATCHES: usize = 8;
 
 /// One labeled training sample: a historical default plan, its logged
 /// per-stage environments, and its observed CPU cost.
@@ -69,10 +74,6 @@ pub struct TrainConfig {
     pub adaptive: bool,
     /// RNG seed for shuffling.
     pub seed: u64,
-    /// Microbatch slots per optimizer step. Slot boundaries depend only on
-    /// the batch length and this value, and slot gradients are folded in
-    /// slot-index order, so results are bit-identical at any thread count.
-    pub microbatches: usize,
 }
 
 impl Default for TrainConfig {
@@ -84,7 +85,6 @@ impl Default for TrainConfig {
             lr_decay: 0.99,
             adaptive: true,
             seed: 0x10a0,
-            microbatches: 8,
         }
     }
 }
@@ -106,6 +106,9 @@ pub struct TrainReport {
     pub epoch_allocs: Vec<u64>,
     /// Total optimizer steps taken.
     pub steps: u64,
+    /// Threads that ran the microbatch slots (1 when `train` is called from
+    /// a pool worker: nested fan-outs run inline).
+    pub workers: usize,
 }
 
 impl TrainReport {
@@ -117,11 +120,12 @@ impl TrainReport {
             epoch_seconds: Vec::with_capacity(epochs),
             epoch_allocs: Vec::with_capacity(epochs),
             steps: 0,
+            workers: 1,
         }
     }
 }
 
-/// Immutable per-call context shared by every engine.
+/// Immutable per-call context shared by every worker.
 struct Ctx<'a> {
     feats: &'a [CachedFeatures],
     labels: &'a [f32],
@@ -205,14 +209,14 @@ struct StepDesc {
     lambda: f64,
     w_d: f32,
     inv: f32,
-    /// Samples per slot (`batch.len().div_ceil(microbatches)`).
+    /// Samples per slot (`batch.len().div_ceil(MICROBATCHES)`).
     chunk: usize,
     /// Number of populated slots this step.
     nslots: usize,
 }
 
 impl StepDesc {
-    fn fill(&mut self, batch: &[usize], cand: &[usize], lambda: f64, w_d: f32, inv: f32, m: usize) {
+    fn fill(&mut self, batch: &[usize], cand: &[usize], lambda: f64, w_d: f32, inv: f32) {
         self.batch.clear();
         self.batch.extend_from_slice(batch);
         self.cand.clear();
@@ -220,7 +224,7 @@ impl StepDesc {
         self.lambda = lambda;
         self.w_d = w_d;
         self.inv = inv;
-        self.chunk = batch.len().div_ceil(m.max(1)).max(1);
+        self.chunk = batch.len().div_ceil(MICROBATCHES).max(1);
         self.nslots = batch.len().div_ceil(self.chunk);
     }
 }
@@ -341,22 +345,20 @@ fn fold_and_step(
     (lc, ld)
 }
 
-/// The epoch/batch schedule shared by every engine: shuffling, learning-rate
-/// decay, the λ ramp, `w_d` re-balancing, candidate pre-draws, and all
-/// bookkeeping. `do_step` runs one optimizer step — arguments are the batch
-/// indices, pre-drawn candidate indices, λ, `w_d`, `1/|B|`, the decayed
-/// learning rate, and the (1-based) Adam timestep — and returns the step's
-/// summed `(L_c, L_d)`.
-#[allow(clippy::too_many_arguments)]
+/// The epoch/batch schedule, run on the driving thread: shuffling,
+/// learning-rate decay, the λ ramp, `w_d` re-balancing, candidate
+/// pre-draws, and all bookkeeping. `do_step` runs one optimizer step —
+/// arguments are the batch indices, pre-drawn candidate indices, λ, `w_d`,
+/// `1/|B|`, the decayed learning rate, and the (1-based) Adam timestep —
+/// and returns the step's summed `(L_c, L_d)`.
 fn drive(
     cfg: &TrainConfig,
-    nsamples: usize,
-    cand_len: usize,
-    dann: bool,
+    ctx: &Ctx<'_>,
     feat_count: u64,
     report: &mut TrainReport,
     mut do_step: impl FnMut(&[usize], &[usize], f64, f32, f32, f32, u64) -> (f32, f32),
 ) {
+    let nsamples = ctx.feats.len();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut t_step: u64 = 0;
     // Automatic loss balancing: w_d tracks the magnitude ratio of the two
@@ -393,9 +395,9 @@ fn drive(
             mcsim_obs::gauge("loam.train.grl_lambda", lambda);
             let inv = 1.0 / batch.len() as f32;
             cand_buf.clear();
-            if dann {
+            if ctx.dann {
                 for _ in 0..batch.len() {
-                    cand_buf.push(rand::Rng::gen_range(&mut rng, 0..cand_len));
+                    cand_buf.push(rand::Rng::gen_range(&mut rng, 0..ctx.cand_feats.len()));
                 }
             }
 
@@ -479,9 +481,9 @@ fn prepare(
 /// the domain classifier (the paper stresses their generation overhead is
 /// negligible).
 ///
-/// Microbatch slots run on persistent worker threads when the global pool
-/// has more than one thread; the serial engine runs the same slot code in
-/// slot order. Both produce bit-identical weights (see the `train_determinism`
+/// Microbatch slots run on up to `min(pool threads, slots)` workers, one of
+/// them the calling thread; a call from inside a pool worker uses one. The
+/// weights are bit-identical at any worker count (see the `training`
 /// integration test).
 pub fn train(
     predictor: &mut AdaptiveCostPredictor,
@@ -505,51 +507,22 @@ pub fn train(
         cand_nz: &cand_nz,
         dann: cfg.adaptive && !cand_feats.is_empty(),
     };
-    let adam = AdamConfig {
-        weight_decay: 1e-4,
-        ..AdamConfig::default()
-    };
     let mut report = TrainReport::with_capacity(cfg.epochs);
 
-    let m = cfg.microbatches.max(1);
-    let max_slots = m.min(cfg.batch_size.max(1));
+    let max_slots = MICROBATCHES.min(cfg.batch_size.max(1));
     let slots: Vec<Mutex<SlotState>> = (0..max_slots)
         .map(|_| Mutex::new(SlotState::new(predictor)))
         .collect();
-    let workers = pool.threads().min(max_slots);
-    let feat_count = (samples.len() + candidates.len()) as u64;
-
-    if workers > 1 {
-        train_parallel(
-            predictor,
-            &ctx,
-            cfg,
-            &adam,
-            &slots,
-            workers,
-            feat_count,
-            &mut report,
-        );
+    // Nested fan-outs run inline: a `train` already running on a pool
+    // worker (e.g. one project of a multi-project sweep) must not spawn a
+    // second layer of threads.
+    report.workers = if mcsim_par::on_worker_thread() {
+        1
     } else {
-        // Serial engine: same slot code, run in slot order on this thread.
-        let mut desc = StepDesc::default();
-        drive(
-            cfg,
-            samples.len(),
-            cand_feats.len(),
-            ctx.dann,
-            feat_count,
-            &mut report,
-            |batch, cand, lambda, w_d, inv, lr, t| {
-                desc.fill(batch, cand, lambda, w_d, inv, m);
-                for (s, slot) in slots.iter().enumerate().take(desc.nslots) {
-                    let mut slot = slot.lock().unwrap();
-                    process_slot(predictor, &ctx, &desc, s, &mut slot);
-                }
-                fold_and_step(predictor, &slots, desc.nslots, lr, t, &adam, cfg.adaptive)
-            },
-        );
-    }
+        pool.threads().min(max_slots)
+    };
+    let feat_count = (samples.len() + candidates.len()) as u64;
+    run(predictor, &ctx, cfg, &slots, feat_count, &mut report);
 
     let ws_bytes: usize = slots.iter().map(|s| s.lock().unwrap().bytes()).sum();
     mcsim_obs::gauge("train.ws_bytes", ws_bytes as f64);
@@ -559,44 +532,60 @@ pub fn train(
 }
 
 /// Shared state between the driver thread and the persistent workers. The
-/// driver holds the write side while folding gradients and stepping Adam;
-/// workers hold the read side while computing slot gradients.
+/// driver holds the write side while filling the step and while folding
+/// gradients and stepping Adam; every worker, the driver included, holds the
+/// read side while computing its slots.
 struct Shared<'p> {
     predictor: &'p mut AdaptiveCostPredictor,
     desc: StepDesc,
 }
 
-/// The parallel engine: `workers` persistent threads, spawned once, woken
-/// per step with a barrier, assigned slots round-robin (`slot % workers`),
-/// and joined when training ends. No allocation per step after warmup.
-#[allow(clippy::too_many_arguments)]
-fn train_parallel(
+/// Runs worker `w`'s slots of the current step: `w, w + workers, …`.
+fn run_slots(
+    shared: &RwLock<Shared<'_>>,
+    ctx: &Ctx<'_>,
+    slots: &[Mutex<SlotState>],
+    w: usize,
+    workers: usize,
+) {
+    let guard = shared.read().unwrap();
+    let desc = &guard.desc;
+    for s in (w..desc.nslots).step_by(workers) {
+        let mut slot = slots[s].lock().unwrap();
+        process_slot(guard.predictor, ctx, desc, s, &mut slot);
+    }
+}
+
+/// The training engine: the calling thread drives the schedule and is
+/// worker 0; `report.workers − 1` persistent scoped threads, spawned once,
+/// are the others. Each step the driver publishes the step, every worker
+/// runs its slots between the `start` and `done` barriers, and the driver
+/// folds the slots and steps Adam. With one worker nothing is spawned and
+/// the barriers have a single party. No allocation per step after warmup.
+fn run(
     predictor: &mut AdaptiveCostPredictor,
     ctx: &Ctx<'_>,
     cfg: &TrainConfig,
-    adam: &AdamConfig,
     slots: &[Mutex<SlotState>],
-    workers: usize,
     feat_count: u64,
     report: &mut TrainReport,
 ) {
-    let m = cfg.microbatches.max(1);
-    let nsamples = ctx.feats.len();
-    let cand_len = ctx.cand_feats.len();
+    let workers = report.workers;
+    let adam = AdamConfig {
+        weight_decay: 1e-4,
+        ..AdamConfig::default()
+    };
     let shared = RwLock::new(Shared {
         predictor,
         desc: StepDesc::default(),
     });
-    let start = Barrier::new(workers + 1);
-    let done = Barrier::new(workers + 1);
+    let start = Barrier::new(workers);
+    let done = Barrier::new(workers);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let shared = &shared;
-            let start = &start;
-            let done = &done;
-            let stop = &stop;
+        for w in 1..workers {
+            let (shared, start, done, stop) = (&shared, &start, &done, &stop);
             scope.spawn(move || {
                 // Inner kernels must not fan out again from a training
                 // worker: nested scoped spawns would allocate every step and
@@ -607,17 +596,7 @@ fn train_parallel(
                     if stop.load(Ordering::Acquire) {
                         break;
                     }
-                    {
-                        let guard = shared.read().unwrap();
-                        let p: &AdaptiveCostPredictor = guard.predictor;
-                        let desc = &guard.desc;
-                        let mut s = w;
-                        while s < desc.nslots {
-                            let mut slot = slots[s].lock().unwrap();
-                            process_slot(p, ctx, desc, s, &mut slot);
-                            s += workers;
-                        }
-                    }
+                    run_slots(shared, ctx, slots, w, workers);
                     done.wait();
                 }
             });
@@ -625,144 +604,32 @@ fn train_parallel(
 
         drive(
             cfg,
-            nsamples,
-            cand_len,
-            ctx.dann,
+            ctx,
             feat_count,
             report,
             |batch, cand, lambda, w_d, inv, lr, t| {
-                let nslots = {
-                    let mut guard = shared.write().unwrap();
-                    guard.desc.fill(batch, cand, lambda, w_d, inv, m);
-                    guard.desc.nslots
-                };
+                shared
+                    .write()
+                    .unwrap()
+                    .desc
+                    .fill(batch, cand, lambda, w_d, inv);
                 start.wait();
+                {
+                    // Alongside other workers, the driver's slots run their
+                    // kernels inline too.
+                    let _inline = (workers > 1).then(mcsim_par::enter_worker);
+                    run_slots(&shared, ctx, slots, 0, workers);
+                }
                 done.wait();
                 let mut guard = shared.write().unwrap();
-                fold_and_step(guard.predictor, slots, nslots, lr, t, adam, cfg.adaptive)
+                let nslots = guard.desc.nslots;
+                fold_and_step(guard.predictor, slots, nslots, lr, t, &adam, cfg.adaptive)
             },
         );
 
         stop.store(true, Ordering::Release);
         start.wait();
     });
-}
-
-/// The legacy allocating training path, kept as a bit-exact cross-check and
-/// benchmark baseline: every sample runs through the allocating wrapper
-/// APIs (`forward`/`backward` with per-call caches and temporaries), with
-/// the same microbatch fold staging and RNG schedule as [`train`], so its
-/// final weights are bit-identical to the workspace engine's.
-pub fn train_reference(
-    predictor: &mut AdaptiveCostPredictor,
-    samples: &[TrainSample],
-    candidates: &[PlanTree],
-    mean_env: EnvMetrics,
-    cfg: &TrainConfig,
-) -> TrainReport {
-    let started = std::time::Instant::now();
-    let (feats, labels, cand_feats) = prepare(predictor, samples, candidates, mean_env);
-    let dann = cfg.adaptive && !cand_feats.is_empty();
-    let adam = AdamConfig {
-        weight_decay: 1e-4,
-        ..AdamConfig::default()
-    };
-    let mut report = TrainReport::with_capacity(cfg.epochs);
-    let m = cfg.microbatches.max(1);
-    let feat_count = (samples.len() + candidates.len()) as u64;
-
-    drive(
-        cfg,
-        samples.len(),
-        cand_feats.len(),
-        dann,
-        feat_count,
-        &mut report,
-        |batch, cand, lambda, w_d, inv, lr, t| {
-            let chunk = batch.len().div_ceil(m).max(1);
-            let mut lc = 0.0f32;
-            let mut ld = 0.0f32;
-            // Stage per-slot gradients through the parameter accumulators:
-            // compute each slot with zeroed grads, snapshot, then fold the
-            // snapshots in slot order — the same reduction as `train`.
-            let mut staged: Vec<Vec<Mat>> = Vec::new();
-            for (s, slot_batch) in batch.chunks(chunk).enumerate() {
-                predictor.plan_emb.zero_grad();
-                predictor.cost_head.zero_grad();
-                predictor.dom_head.zero_grad();
-                // Stage losses per slot as well: the workspace engine folds
-                // slot-local sums, and f32 addition is order-sensitive.
-                let mut slot_lc = 0.0f32;
-                let mut slot_ld = 0.0f32;
-                for (k, &i) in slot_batch.iter().enumerate() {
-                    let pos = s * chunk + k;
-                    let (x, tree) = &*feats[i];
-                    let (emb, cache) = predictor.plan_emb.forward(x, tree);
-
-                    // Cost objective on the default plan.
-                    let (pred, cost_cache) = predictor.cost_head.forward(&emb);
-                    let target = Mat::from_vec(1, 1, vec![labels[i]]);
-                    let (sample_lc, mut gc) = mse(&pred, &target);
-                    slot_lc += sample_lc;
-                    gc.scale(inv);
-                    let mut grad_emb = predictor.cost_head.backward(&cost_cache, &gc);
-
-                    if dann {
-                        // Domain objective: default plan (label 0).
-                        let (logits, dom_cache) = predictor.dom_head.forward(&emb);
-                        let (sample_ld, mut gd) = cross_entropy_logits(&logits, &[0]);
-                        slot_ld += sample_ld;
-                        gd.scale(w_d * inv);
-                        let gdom = predictor.dom_head.backward(&dom_cache, &gd);
-                        grad_emb.add_assign(&reverse_gradient(&gdom, lambda));
-                    }
-
-                    predictor.plan_emb.backward(&cache, tree, &grad_emb);
-
-                    if dann {
-                        // One candidate plan per default plan (label 1).
-                        let (cx, ctree) = &*cand_feats[cand[pos]];
-                        let (cemb, ccache) = predictor.plan_emb.forward(cx, ctree);
-                        let (logits, dom_cache) = predictor.dom_head.forward(&cemb);
-                        let (sample_ld, mut gd) = cross_entropy_logits(&logits, &[1]);
-                        slot_ld += sample_ld;
-                        gd.scale(w_d * inv);
-                        let gdom = predictor.dom_head.backward(&dom_cache, &gd);
-                        let grad_cemb = reverse_gradient(&gdom, lambda);
-                        predictor.plan_emb.backward(&ccache, ctree, &grad_cemb);
-                    }
-                }
-                lc += slot_lc;
-                ld += slot_ld;
-                let snapshot: Vec<Mat> = predictor
-                    .plan_emb
-                    .params()
-                    .into_iter()
-                    .chain(predictor.cost_head.params())
-                    .chain(predictor.dom_head.params())
-                    .map(|p| p.grad.clone())
-                    .collect();
-                staged.push(snapshot);
-            }
-            predictor.plan_emb.zero_grad();
-            predictor.cost_head.zero_grad();
-            predictor.dom_head.zero_grad();
-            for snapshot in &staged {
-                predictor.plan_emb.add_grads(&snapshot[0..10]);
-                predictor.cost_head.add_grads(&snapshot[10..14]);
-                predictor.dom_head.add_grads(&snapshot[14..18]);
-            }
-            predictor.plan_emb.adam_step(lr, t, &adam);
-            predictor.cost_head.adam_step(lr, t, &adam);
-            if cfg.adaptive {
-                predictor.dom_head.adam_step(lr, t, &adam);
-            }
-            (lc, ld)
-        },
-    );
-
-    report.seconds = started.elapsed().as_secs_f64();
-    report
 }
 
 #[cfg(test)]
@@ -872,25 +739,6 @@ mod tests {
         assert_eq!(report.domain_loss.len(), 4);
         assert!(report.domain_loss.iter().all(|&l| l.is_finite()));
         assert!(report.seconds > 0.0);
-    }
-
-    #[test]
-    fn reference_path_produces_identical_weights_and_losses() {
-        let samples = make_samples(48, 11);
-        let candidates: Vec<PlanTree> = make_samples(12, 12).into_iter().map(|s| s.plan).collect();
-        let cfg = TrainConfig {
-            epochs: 3,
-            ..TrainConfig::default()
-        };
-        let mut a = AdaptiveCostPredictor::new(21, true);
-        let mut b = AdaptiveCostPredictor::new(21, true);
-        let ra = train(&mut a, &samples, &candidates, EnvMetrics::default(), &cfg);
-        let rb = train_reference(&mut b, &samples, &candidates, EnvMetrics::default(), &cfg);
-        assert_eq!(ra.cost_loss, rb.cost_loss);
-        assert_eq!(ra.domain_loss, rb.domain_loss);
-        for (pa, pb) in a.plan_emb.params().iter().zip(b.plan_emb.params()) {
-            assert_eq!(pa.value.data, pb.value.data, "plan_emb weights diverged");
-        }
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! Plans are viewed as undirected graphs (tree edges + self loops); each
 //! layer aggregates mean-normalized neighbor features before a linear map
 //! and ReLU, and the node representations are mean-pooled into a plan
-//! embedding. The workspace (`_ws`) pair reuses caller-provided buffers;
-//! the legacy `forward`/`backward` pair delegates to it.
+//! embedding. The `forward_ws`/`backward_ws` pair reuses caller-provided
+//! buffers.
 
 use crate::linear::Linear;
 use crate::mat::Mat;
-use crate::param::AdamConfig;
+use crate::param::{AdamConfig, Param};
 use crate::tcn::TreeStructure;
 use crate::workspace::Workspace;
 use rand::Rng;
@@ -98,12 +98,6 @@ impl GcnWs {
     }
 }
 
-/// Backward cache for the full encoder.
-#[derive(Debug, Clone)]
-pub struct GcnCache {
-    ws: GcnWs,
-}
-
 /// A two-layer GCN encoder with mean pooling and a projection head.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Gcn {
@@ -128,18 +122,9 @@ impl Gcn {
         }
     }
 
-    /// Encodes a plan graph into a 1×emb embedding.
-    ///
-    /// Thin allocating wrapper over [`Gcn::forward_ws`].
-    pub fn forward(&self, x: &Mat, g: &Graph) -> (Mat, GcnCache) {
-        let mut ws = GcnWs::default();
-        self.forward_ws(x, g, &mut ws);
-        let emb = ws.emb.clone();
-        (emb, GcnCache { ws })
-    }
-
-    /// Allocation-free encoding: aggregation, fused matmul+bias+ReLU, mean
-    /// pool, and projection all write into the workspace's reusable buffers.
+    /// Encodes a plan graph into a 1×emb embedding (`ws.emb()`), allocation
+    /// free: aggregation, fused matmul+bias+ReLU, mean pool, and projection
+    /// all write into the workspace's reusable buffers.
     pub fn forward_ws(&self, x: &Mat, g: &Graph, ws: &mut GcnWs) {
         let GcnWs {
             agg1,
@@ -169,14 +154,6 @@ impl Gcn {
         let mut ws = GcnWs::default();
         self.forward_ws(x, g, &mut ws);
         ws.emb
-    }
-
-    /// Backward from an embedding gradient.
-    ///
-    /// Thin allocating wrapper over [`Gcn::backward_ws`].
-    pub fn backward(&mut self, cache: &GcnCache, g: &Graph, grad_emb: &Mat) {
-        let mut scratch = Workspace::new();
-        self.backward_ws(g, &cache.ws, grad_emb, &mut scratch);
     }
 
     /// Allocation-free backward; accumulates directly into the parameter
@@ -243,6 +220,14 @@ impl Gcn {
         self.proj.adam_step(lr, t, cfg);
     }
 
+    /// Parameters in layer order, each layer's weight before its bias.
+    pub fn params(&self) -> Vec<&Param> {
+        [&self.l1.lin, &self.l2.lin, &self.proj]
+            .into_iter()
+            .flat_map(|l| [&l.w, &l.b])
+            .collect()
+    }
+
     /// Scalar parameter count.
     pub fn param_count(&self) -> usize {
         self.l1.lin.param_count() + self.l2.lin.param_count() + self.proj.param_count()
@@ -252,7 +237,9 @@ impl Gcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::mse;
+    use crate::loss::mse_into;
+    use crate::mlp::{Mlp, MlpWs};
+    use crate::workspace::GradSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -289,6 +276,16 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-4);
     }
 
+    /// Forward plus backward of `mse(emb, target)` through the workspace
+    /// API; the gradients accumulate into `gcn`'s parameters.
+    fn mse_backward(gcn: &mut Gcn, x: &Mat, g: &Graph, target: &Mat) {
+        let mut ws = GcnWs::default();
+        gcn.forward_ws(x, g, &mut ws);
+        let mut grad = Mat::default();
+        mse_into(ws.emb(), target, &mut grad);
+        gcn.backward_ws(g, &ws, &grad, &mut Workspace::new());
+    }
+
     #[test]
     fn gradient_check_through_encoder() {
         let mut rng = StdRng::seed_from_u64(2);
@@ -298,12 +295,10 @@ mod tests {
         let x = Mat::randn(3, 4, 1.0, &mut rng);
         let target = Mat::randn(1, 2, 1.0, &mut rng);
 
-        let (emb, cache) = gcn.forward(&x, &g);
-        let (_, grad) = mse(&emb, &target);
         gcn.zero_grad();
-        gcn.backward(&cache, &g, &grad);
+        mse_backward(&mut gcn, &x, &g, &target);
 
-        let loss_of = |gcn: &Gcn| mse(&gcn.infer(&x, &g), &target).0;
+        let loss_of = |gcn: &Gcn| mse_into(&gcn.infer(&x, &g), &target, &mut Mat::default());
         let eps = 1e-2;
         for idx in [0usize, 5] {
             let mut gp = gcn.clone();
@@ -320,28 +315,41 @@ mod tests {
     fn gcn_fits_a_simple_graph_function() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut gcn = Gcn::new(2, 12, 8, 4, &mut rng);
-        let mut head = Linear::new(4, 1, &mut rng);
+        let mut head = Mlp::new(&[4, 1], &mut rng);
         let cfg = AdamConfig::default();
         let tree = tiny_tree();
         let g = Graph::from_tree(&tree);
+        let (mut ws, mut head_ws) = (GcnWs::default(), MlpWs::default());
+        let mut head_grads = GradSet::from_shapes(&head.grad_shapes());
+        let (mut grad, mut gemb) = (Mat::default(), Mat::default());
+        let mut scratch = Workspace::new();
         let mut t = 0;
         for _ in 0..600 {
             let x = Mat::randn(3, 2, 1.0, &mut rng);
             let label = x.data.iter().sum::<f32>(); // sum of all features
-            let (emb, cache) = gcn.forward(&x, &g);
-            let pred = head.forward(&emb);
-            let (_, grad) = mse(&pred, &Mat::from_vec(1, 1, vec![label]));
+            gcn.forward_ws(&x, &g, &mut ws);
+            head.forward_ws(ws.emb(), &mut head_ws);
+            mse_into(head_ws.out(), &Mat::from_vec(1, 1, vec![label]), &mut grad);
             gcn.zero_grad();
             head.zero_grad();
-            let gemb = head.backward(&emb, &grad);
-            gcn.backward(&cache, &g, &gemb);
+            head_grads.zero();
+            head.backward_ws(
+                ws.emb(),
+                &head_ws,
+                &grad,
+                &mut head_grads.mats,
+                Some(&mut gemb),
+                &mut scratch,
+            );
+            head.add_grads(&head_grads.mats);
+            gcn.backward_ws(&g, &ws, &gemb, &mut scratch);
             t += 1;
             gcn.adam_step(0.01, t, &cfg);
             head.adam_step(0.01, t, &cfg);
         }
         let x = Mat::randn(3, 2, 1.0, &mut rng);
         let label = x.data.iter().sum::<f32>();
-        let pred = head.forward(&gcn.infer(&x, &g)).data[0];
+        let pred = head.infer(&gcn.infer(&x, &g)).data[0];
         assert!((pred - label).abs() < 0.5, "pred {pred} vs label {label}");
     }
 }

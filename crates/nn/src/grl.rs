@@ -16,14 +16,8 @@ pub fn lambda_schedule(progress: f64) -> f64 {
     2.0 / (1.0 + (-10.0 * p).exp()) - 1.0
 }
 
-/// Applies the backward side of the GRL: returns `−λ · grad`.
-pub fn reverse_gradient(grad: &Mat, lambda: f64) -> Mat {
-    let mut out = Mat::default();
-    reverse_gradient_into(grad, lambda, &mut out);
-    out
-}
-
-/// [`reverse_gradient`] writing into a reusable buffer.
+/// Applies the backward side of the GRL: writes `−λ · grad` into a reusable
+/// buffer.
 pub fn reverse_gradient_into(grad: &Mat, lambda: f64, out: &mut Mat) {
     out.copy_scaled_from(grad, -(lambda as f32));
 }
@@ -52,7 +46,8 @@ mod tests {
     #[test]
     fn reverse_negates_and_scales() {
         let g = Mat::from_vec(1, 3, vec![1.0, -2.0, 0.5]);
-        let r = reverse_gradient(&g, 0.5);
+        let mut r = Mat::default();
+        reverse_gradient_into(&g, 0.5, &mut r);
         assert_eq!(r.data, vec![-0.5, 1.0, -0.25]);
     }
 

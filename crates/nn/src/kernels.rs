@@ -21,8 +21,8 @@
 //!
 //! The mode is a process-wide atomic so benchmarks can compare both paths on
 //! identical inputs and tests can assert their bitwise equality. Elementwise
-//! epilogues (ReLU clamp, softmax scaling, `axpy`) touch every element
-//! exactly once, so any vector width is trivially bit-identical there.
+//! epilogues (softmax scaling, `axpy`) touch every element exactly once, so
+//! any vector width is trivially bit-identical there.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

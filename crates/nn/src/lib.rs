@@ -7,34 +7,40 @@
 //! baseline cost models of Section 7.1), and the gradient-reversal utilities
 //! of DANN-style adversarial domain adaptation.
 //!
-//! Every layer implements an explicit `forward`/`backward` pair with cached
-//! activations; gradient correctness is enforced by finite-difference tests
-//! in each module.
-//!
 //! ## Workspaces
 //!
-//! Each layer also exposes allocation-free `*_ws`/`*_into` variants that
-//! write into caller-owned, reusable buffers (see [`workspace::Workspace`]
-//! and per-layer workspace structs such as [`MlpWs`] and [`TcnWs`]). The
-//! allocating entry points are thin wrappers over these, so both paths share
-//! one implementation and produce bit-identical results. Training loops that
-//! keep a `Workspace` plus the layer workspaces alive across steps perform
-//! zero heap allocation after warmup.
+//! Every layer trains through one explicit pair, `forward_ws`/`backward_ws`
+//! (`*_into` for single layers and losses), that writes into caller-owned,
+//! reusable buffers: a per-layer workspace such as [`MlpWs`] or [`TcnWs`]
+//! holds the forward activations the backward pass reads, and a
+//! [`workspace::Workspace`] arena lends the backward pass its
+//! intermediates. Parameter gradients go into a caller-owned [`GradSet`]
+//! (or, for the baseline encoders, straight into the parameters'
+//! accumulators). Training loops that keep these alive across steps perform
+//! zero heap allocation after warmup. `infer` runs a forward into a fresh
+//! workspace. Gradient correctness is enforced by finite-difference tests
+//! in each module.
 //!
 //! ## Example
 //!
 //! ```
-//! use tinynn::{Mat, Mlp, AdamConfig, mse};
+//! use tinynn::{mse_into, AdamConfig, GradSet, Mat, Mlp, MlpWs, Workspace};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut mlp = Mlp::new(&[2, 8, 1], &mut rng);
-//! let x = Mat::from_vec(1, 2, vec![0.5, -0.25]);
-//! let (y, cache) = mlp.forward(&x);
-//! let (_, grad) = mse(&y, &Mat::from_vec(1, 1, vec![1.0]));
+//! let (mut ws, mut scratch) = (MlpWs::default(), Workspace::new());
+//! let mut grads = GradSet::from_shapes(&mlp.grad_shapes());
+//! let (x, target) = (Mat::from_vec(1, 2, vec![0.5, -0.25]), Mat::from_vec(1, 1, vec![1.0]));
+//! let mut grad = Mat::default();
+//!
+//! mlp.forward_ws(&x, &mut ws);
+//! let loss = mse_into(ws.out(), &target, &mut grad);
+//! mlp.backward_ws(&x, &ws, &grad, &mut grads.mats, None, &mut scratch);
 //! mlp.zero_grad();
-//! mlp.backward(&cache, &grad);
+//! mlp.add_grads(&grads.mats);
 //! mlp.adam_step(0.01, 1, &AdamConfig::default());
+//! assert!(loss > 0.0);
 //! ```
 
 mod convsimd;
@@ -52,16 +58,16 @@ pub mod tcn;
 pub mod transformer;
 pub mod workspace;
 
-pub use gcn::{Gcn, GcnCache, GcnWs, Graph};
-pub use grl::{lambda_schedule, reverse_gradient, reverse_gradient_into};
+pub use gcn::{Gcn, GcnWs, Graph};
+pub use grl::{lambda_schedule, reverse_gradient_into};
 pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};
-pub use linear::{relu, relu_backward, relu_mask_into, softmax_rows, softmax_rows_into, Linear};
-pub use loss::{accuracy, cross_entropy_logits, cross_entropy_logits_into, mse, mse_into};
+pub use linear::{relu_mask_into, softmax_rows_into, Linear};
+pub use loss::{accuracy, cross_entropy_logits_into, mse_into};
 pub use mat::Mat;
 pub use metrics::{concordance, mean_abs_log_ratio, r2, spearman};
-pub use mlp::{Mlp, MlpCache, MlpWs};
+pub use mlp::{Mlp, MlpWs};
 pub use param::{AdamConfig, Param};
 pub use sparse::SparseRows;
-pub use tcn::{ForestWs, Tcn, TcnCache, TcnWs, TreeConvLayer, TreeStructure};
-pub use transformer::{Transformer, TransformerCache, TransformerWs};
+pub use tcn::{ForestWs, Tcn, TcnWs, TreeConvLayer, TreeStructure};
+pub use transformer::{Transformer, TransformerWs};
 pub use workspace::{alloc_probe, GradSet, Workspace};

@@ -35,13 +35,6 @@ impl Linear {
         self.w.value.rows
     }
 
-    /// Forward: `x` is n×in, result n×out.
-    pub fn forward(&self, x: &Mat) -> Mat {
-        let mut y = Mat::default();
-        self.forward_into(x, &mut y);
-        y
-    }
-
     /// Forward into a reusable buffer via the fused matmul+bias kernel.
     pub fn forward_into(&self, x: &Mat, y: &mut Mat) {
         x.matmul_nt_bias_into(&self.w.value, &self.b.value.data, false, y);
@@ -52,27 +45,9 @@ impl Linear {
         x.matmul_nt_bias_into(&self.w.value, &self.b.value.data, true, y);
     }
 
-    /// Backward: given the input `x` used in forward and `grad_out` (n×out),
-    /// accumulates parameter gradients and returns `grad_in` (n×in).
-    pub fn backward(&mut self, x: &Mat, grad_out: &Mat) -> Mat {
-        let mut scratch = Workspace::new();
-        let mut grad_in = Mat::default();
-        Linear::backward_into(
-            &self.w.value,
-            x,
-            grad_out,
-            &mut self.w.grad,
-            &mut self.b.grad,
-            Some(&mut grad_in),
-            &mut scratch,
-        );
-        grad_in
-    }
-
     /// Allocation-free backward. `w` is the forward weight matrix; parameter
     /// gradients are computed into workspace scratch and then added to the
-    /// `gw`/`gb` accumulators (so wrapper and workspace paths share one
-    /// accumulation order); `grad_in`, when requested, is overwritten with
+    /// `gw`/`gb` accumulators; `grad_in`, when requested, is overwritten with
     /// `grad_out @ W`. Associated function (not `&mut self`) so callers can
     /// split value/grad borrows across `Param` fields.
     pub fn backward_into(
@@ -138,50 +113,9 @@ impl Linear {
     }
 }
 
-/// Elementwise ops below this many elements stay serial (on top of the
-/// global [`mcsim_par::min_parallel_work`] gate) — activations are cheap
-/// per element, so fan-out only ever pays off on big batches.
-fn elementwise_chunk(n: usize, pool: &mcsim_par::ThreadPool) -> Option<usize> {
-    if pool.threads() > 1 && n > 1 && n * 4 >= mcsim_par::min_parallel_work() {
-        Some(n.div_ceil(pool.threads() * 2).max(1))
-    } else {
-        None
-    }
-}
-
-/// Elementwise ReLU clamp over a slice, dispatching on the process-wide
-/// [`crate::kernels`] mode. Every element is written exactly once, so the
+/// Elementwise `v /= sum` over a softmax row, dispatching on the process-wide
+/// [`crate::kernels`] mode. Every element is divided exactly once, so the
 /// unrolled epilogue is trivially bit-identical to the plain loop.
-#[inline]
-fn relu_clamp(c: &mut [f32]) {
-    match crate::kernels::kernel_mode() {
-        crate::kernels::KernelMode::Scalar => {
-            for v in c.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        crate::kernels::KernelMode::Simd => {
-            let n = c.len();
-            let (main, tail) = c.split_at_mut(n - n % 8);
-            for o in main.chunks_exact_mut(8) {
-                o[0] = o[0].max(0.0);
-                o[1] = o[1].max(0.0);
-                o[2] = o[2].max(0.0);
-                o[3] = o[3].max(0.0);
-                o[4] = o[4].max(0.0);
-                o[5] = o[5].max(0.0);
-                o[6] = o[6].max(0.0);
-                o[7] = o[7].max(0.0);
-            }
-            for v in tail.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-    }
-}
-
-/// Elementwise `v /= sum` over a softmax row; same dispatch and bit-identity
-/// argument as [`relu_clamp`] (one division per element in both modes).
 #[inline]
 fn div_by_sum(row: &mut [f32], sum: f32) {
     match crate::kernels::kernel_mode() {
@@ -210,45 +144,10 @@ fn div_by_sum(row: &mut [f32], sum: f32) {
     }
 }
 
-/// ReLU forward; returns output (input preserved for backward).
-pub fn relu(x: &Mat) -> Mat {
-    let mut out = x.clone();
-    let pool = mcsim_par::ThreadPool::global();
-    match elementwise_chunk(out.data.len(), &pool) {
-        Some(chunk) => pool.parallel_for_chunks_mut(&mut out.data, chunk, |_, c| relu_clamp(c)),
-        None => relu_clamp(&mut out.data),
-    }
-    out
-}
-
-/// ReLU backward: masks `grad` where the forward input was ≤ 0.
-pub fn relu_backward(input: &Mat, grad: &Mat) -> Mat {
-    let mut out = grad.clone();
-    let mask = |out: &mut [f32], inp: &[f32]| {
-        for (g, &x) in out.iter_mut().zip(inp) {
-            if x <= 0.0 {
-                *g = 0.0;
-            }
-        }
-    };
-    let pool = mcsim_par::ThreadPool::global();
-    match elementwise_chunk(out.data.len(), &pool) {
-        Some(chunk) => {
-            let jobs: Vec<(&mut [f32], &[f32])> = out
-                .data
-                .chunks_mut(chunk)
-                .zip(input.data.chunks(chunk))
-                .collect();
-            pool.for_each(jobs, |(o, i)| mask(o, i));
-        }
-        None => mask(&mut out.data, &input.data),
-    }
-    out
-}
-
 /// Writes `grad` masked by the post-ReLU output `y` into `out`:
 /// `out[i] = grad[i]` where `y[i] > 0`, else `0`. Masking on the output is
-/// bit-equivalent to [`relu_backward`]'s masking on the pre-activation.
+/// equivalent to masking on the pre-activation, since `y = max(pre, 0)` is
+/// positive exactly where `pre` is.
 pub fn relu_mask_into(y: &Mat, grad: &Mat, out: &mut Mat) {
     assert_eq!(y.data.len(), grad.data.len());
     out.resize_in_place(grad.rows, grad.cols);
@@ -257,16 +156,8 @@ pub fn relu_mask_into(y: &Mat, grad: &Mat, out: &mut Mat) {
     }
 }
 
-/// Row-wise softmax. Rows are independent, so row blocks run in parallel
-/// with bit-identical results.
-pub fn softmax_rows(x: &Mat) -> Mat {
-    let mut out = Mat::default();
-    softmax_rows_into(x, &mut out);
-    out
-}
-
-/// Row-wise softmax into a reusable buffer; kernel shared with
-/// [`softmax_rows`].
+/// Row-wise softmax into a reusable buffer. Rows are independent, so row
+/// blocks run in parallel with bit-identical results.
 pub fn softmax_rows_into(x: &Mat, out: &mut Mat) {
     out.copy_from(x);
     if out.cols == 0 {
@@ -302,37 +193,49 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Forward, then the gradient of `0.5 * ||y - target||²` through
+    /// [`Linear::backward_into`]: `(dW, db, dX)`.
+    fn half_sq_grads(layer: &Linear, x: &Mat, target: &Mat) -> (Mat, Mat, Mat) {
+        let mut y = Mat::default();
+        layer.forward_into(x, &mut y);
+        let mut grad_out = y.clone();
+        for (g, t) in grad_out.data.iter_mut().zip(&target.data) {
+            *g -= t;
+        }
+        let mut gw = Mat::zeros(layer.out_dim(), layer.in_dim());
+        let mut gb = Mat::zeros(1, layer.out_dim());
+        let mut gx = Mat::default();
+        Linear::backward_into(
+            &layer.w.value,
+            x,
+            &grad_out,
+            &mut gw,
+            &mut gb,
+            Some(&mut gx),
+            &mut Workspace::new(),
+        );
+        (gw, gb, gx)
+    }
+
     /// Finite-difference gradient check for the linear layer.
     #[test]
     fn linear_gradients_match_finite_differences() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut layer = Linear::new(4, 3, &mut rng);
+        let layer = Linear::new(4, 3, &mut rng);
         let x = Mat::randn(2, 4, 1.0, &mut rng);
         let target = Mat::randn(2, 3, 1.0, &mut rng);
 
         // Loss = 0.5 * ||y - target||².
         let loss_of = |layer: &Linear, x: &Mat| -> f32 {
-            let y = layer.forward(x);
+            let mut y = Mat::default();
+            layer.forward_into(x, &mut y);
             y.data
                 .iter()
                 .zip(&target.data)
                 .map(|(a, b)| 0.5 * (a - b) * (a - b))
                 .sum()
         };
-
-        let y = layer.forward(&x);
-        let grad_out = Mat {
-            rows: y.rows,
-            cols: y.cols,
-            data: y
-                .data
-                .iter()
-                .zip(&target.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        };
-        layer.zero_grad();
-        let grad_in = layer.backward(&x, &grad_out);
+        let (gw, _, grad_in) = half_sq_grads(&layer, &x, &target);
 
         let eps = 1e-3;
         // Check dW numerically at a few entries.
@@ -342,7 +245,7 @@ mod tests {
             let mut lm = layer.clone();
             lm.w.value.data[idx] -= eps;
             let num = (loss_of(&lp, &x) - loss_of(&lm, &x)) / (2.0 * eps);
-            let ana = layer.w.grad.data[idx];
+            let ana = gw.data[idx];
             assert!(
                 (num - ana).abs() < 1e-2,
                 "dW[{idx}]: num {num} vs ana {ana}"
@@ -364,15 +267,16 @@ mod tests {
     }
 
     #[test]
-    fn relu_masks_negative_inputs() {
-        let x = Mat::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        let y = relu(&x);
-        assert_eq!(y.data, vec![0.0, 0.0, 0.5, 2.0]);
-        let g = relu_backward(&x, &Mat::from_vec(1, 4, vec![1.0; 4]));
-        assert_eq!(g.data, vec![0.0, 0.0, 1.0, 1.0]);
+    fn relu_mask_zeroes_gradient_where_the_output_is_not_positive() {
+        let y = Mat::from_vec(1, 5, vec![0.0, 0.5, 0.0, 2.0, 1e-7]);
+        let grad = Mat::from_vec(1, 5, vec![1.0, -2.0, 3.0, 4.0, -5.0]);
+        let mut out = Mat::from_vec(2, 2, vec![9.0; 4]);
+        relu_mask_into(&y, &grad, &mut out);
+        assert_eq!((out.rows, out.cols), (1, 5));
+        assert_eq!(out.data, vec![0.0, -2.0, 0.0, 4.0, -5.0]);
     }
 
-    /// Both epilogue widths must clamp/scale to the same bits — widths that
+    /// Both epilogue widths must scale to the same bits — widths that
     /// exercise the 8-wide body plus every tail length.
     #[test]
     fn unrolled_epilogues_match_scalar_bitwise() {
@@ -380,12 +284,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         for cols in [1usize, 4, 7, 8, 9, 16, 23] {
             let x = Mat::randn(3, cols, 1.0, &mut rng);
+            let (mut sm_s, mut sm_u) = (Mat::default(), Mat::default());
             let prev = set_kernel_mode(KernelMode::Scalar);
-            let (r_s, sm_s) = (relu(&x), softmax_rows(&x));
+            softmax_rows_into(&x, &mut sm_s);
             set_kernel_mode(KernelMode::Simd);
-            let (r_u, sm_u) = (relu(&x), softmax_rows(&x));
+            softmax_rows_into(&x, &mut sm_u);
             set_kernel_mode(prev);
-            assert_eq!(r_s, r_u, "relu cols {cols}");
             assert_eq!(sm_s, sm_u, "softmax cols {cols}");
         }
     }
@@ -393,52 +297,13 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one() {
         let x = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, -5.0, 0.0, 5.0]);
-        let s = softmax_rows(&x);
+        let mut s = Mat::default();
+        softmax_rows_into(&x, &mut s);
         for r in 0..2 {
             let sum: f32 = s.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
             assert!(s.row(r).iter().all(|&p| p >= 0.0));
         }
-    }
-
-    #[test]
-    fn relu_mask_on_output_matches_legacy_mask_on_input() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let pre = Mat::randn(3, 5, 1.0, &mut rng);
-        let grad = Mat::randn(3, 5, 1.0, &mut rng);
-        let y = relu(&pre);
-        let want = relu_backward(&pre, &grad);
-        let mut got = Mat::default();
-        relu_mask_into(&y, &grad, &mut got);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn backward_into_matches_wrapper_bitwise() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut layer = Linear::new(6, 4, &mut rng);
-        let x = Mat::randn(3, 6, 1.0, &mut rng);
-        let g = Mat::randn(3, 4, 1.0, &mut rng);
-        layer.zero_grad();
-        let gi_wrap = layer.backward(&x, &g);
-        let (gw_wrap, gb_wrap) = (layer.w.grad.clone(), layer.b.grad.clone());
-
-        let mut gw = Mat::zeros(4, 6);
-        let mut gb = Mat::zeros(1, 4);
-        let mut gi = Mat::default();
-        let mut ws = crate::workspace::Workspace::new();
-        Linear::backward_into(
-            &layer.w.value,
-            &x,
-            &g,
-            &mut gw,
-            &mut gb,
-            Some(&mut gi),
-            &mut ws,
-        );
-        assert_eq!(gw, gw_wrap);
-        assert_eq!(gb, gb_wrap);
-        assert_eq!(gi, gi_wrap);
     }
 
     #[test]
@@ -449,21 +314,20 @@ mod tests {
         // Learn y = 3a - 2b + 1.
         for t in 1..=3000 {
             let x = Mat::randn(8, 2, 1.0, &mut rng);
-            let target: Vec<f32> = (0..8)
-                .map(|i| 3.0 * x.get(i, 0) - 2.0 * x.get(i, 1) + 1.0)
-                .collect();
-            let y = layer.forward(&x);
-            let grad = Mat::from_vec(
+            let target = Mat::from_vec(
                 8,
                 1,
-                y.data
-                    .iter()
-                    .zip(&target)
-                    .map(|(a, b)| (a - b) / 8.0)
+                (0..8)
+                    .map(|i| 3.0 * x.get(i, 0) - 2.0 * x.get(i, 1) + 1.0)
                     .collect(),
             );
+            // Mean of 0.5 * squared error: the half-square gradient over 8.
+            let (mut gw, mut gb, _) = half_sq_grads(&layer, &x, &target);
+            gw.scale(1.0 / 8.0);
+            gb.scale(1.0 / 8.0);
             layer.zero_grad();
-            layer.backward(&x, &grad);
+            layer.w.grad.add_assign(&gw);
+            layer.b.grad.add_assign(&gb);
             layer.adam_step(0.02, t, &cfg);
         }
         assert!((layer.w.value.data[0] - 3.0).abs() < 0.05);

@@ -6,15 +6,8 @@
 use crate::linear::softmax_rows_into;
 use crate::mat::Mat;
 
-/// Mean squared error over all elements; returns `(loss, grad)` where
-/// `grad = 2 (pred − target) / n`.
-pub fn mse(pred: &Mat, target: &Mat) -> (f32, Mat) {
-    let mut grad = Mat::default();
-    let loss = mse_into(pred, target, &mut grad);
-    (loss, grad)
-}
-
-/// [`mse`] writing the gradient into a reusable buffer.
+/// Mean squared error over all elements. Returns the loss and writes
+/// `grad = 2 (pred − target) / n` into a reusable buffer.
 pub fn mse_into(pred: &Mat, target: &Mat, grad: &mut Mat) -> f32 {
     assert_eq!(pred.data.len(), target.data.len());
     let n = pred.data.len().max(1) as f32;
@@ -28,16 +21,10 @@ pub fn mse_into(pred: &Mat, target: &Mat, grad: &mut Mat) -> f32 {
     loss / n
 }
 
-/// Softmax cross-entropy with integer class labels; returns `(loss, grad)`
-/// where `grad` is w.r.t. the logits (already divided by batch size).
-pub fn cross_entropy_logits(logits: &Mat, labels: &[usize]) -> (f32, Mat) {
-    let mut grad = Mat::default();
-    let loss = cross_entropy_logits_into(logits, labels, &mut grad);
-    (loss, grad)
-}
-
-/// [`cross_entropy_logits`] writing the gradient into a reusable buffer
-/// (the softmax probabilities are computed in place inside it).
+/// Softmax cross-entropy with integer class labels. Returns the loss and
+/// writes the gradient w.r.t. the logits (already divided by batch size)
+/// into a reusable buffer, computing the softmax probabilities in place
+/// inside it.
 pub fn cross_entropy_logits_into(logits: &Mat, labels: &[usize], grad: &mut Mat) -> f32 {
     assert_eq!(logits.rows, labels.len());
     softmax_rows_into(logits, grad);
@@ -73,6 +60,18 @@ pub fn accuracy(logits: &Mat, labels: &[usize]) -> f64 {
 mod tests {
     use super::*;
 
+    fn mse(pred: &Mat, target: &Mat) -> (f32, Mat) {
+        let mut grad = Mat::default();
+        let loss = mse_into(pred, target, &mut grad);
+        (loss, grad)
+    }
+
+    fn cross_entropy(logits: &Mat, labels: &[usize]) -> (f32, Mat) {
+        let mut grad = Mat::default();
+        let loss = cross_entropy_logits_into(logits, labels, &mut grad);
+        (loss, grad)
+    }
+
     #[test]
     fn mse_zero_on_exact_match() {
         let a = Mat::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
@@ -102,8 +101,8 @@ mod tests {
     fn cross_entropy_prefers_correct_class() {
         let good = Mat::from_vec(1, 2, vec![-3.0, 3.0]);
         let bad = Mat::from_vec(1, 2, vec![3.0, -3.0]);
-        let (lg, _) = cross_entropy_logits(&good, &[1]);
-        let (lb, _) = cross_entropy_logits(&bad, &[1]);
+        let (lg, _) = cross_entropy(&good, &[1]);
+        let (lb, _) = cross_entropy(&bad, &[1]);
         assert!(lg < 0.01);
         assert!(lb > 1.0);
     }
@@ -112,14 +111,14 @@ mod tests {
     fn cross_entropy_gradient_matches_finite_difference() {
         let logits = Mat::from_vec(2, 2, vec![0.3, -0.7, 1.2, 0.1]);
         let labels = [1usize, 0];
-        let (_, g) = cross_entropy_logits(&logits, &labels);
+        let (_, g) = cross_entropy(&logits, &labels);
         let eps = 1e-3;
         for i in 0..4 {
             let mut l = logits.clone();
             l.data[i] += eps;
-            let (lp, _) = cross_entropy_logits(&l, &labels);
+            let (lp, _) = cross_entropy(&l, &labels);
             l.data[i] -= 2.0 * eps;
-            let (lm, _) = cross_entropy_logits(&l, &labels);
+            let (lm, _) = cross_entropy(&l, &labels);
             let num = (lp - lm) / (2.0 * eps);
             assert!(
                 (num - g.data[i]).abs() < 1e-3,

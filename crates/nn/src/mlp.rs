@@ -38,15 +38,6 @@ impl MlpWs {
     }
 }
 
-/// Forward-pass cache needed for backward.
-#[derive(Debug, Clone)]
-pub struct MlpCache {
-    /// The forward input.
-    x: Mat,
-    /// Activation buffers from the forward pass.
-    ws: MlpWs,
-}
-
 impl Mlp {
     /// Builds an MLP with the given layer widths, e.g. `[32, 16, 1]` for
     /// 32 → 16 → 1.
@@ -61,16 +52,6 @@ impl Mlp {
             .map(|w| Linear::new(w[0], w[1], rng))
             .collect();
         Mlp { layers }
-    }
-
-    /// Forward pass returning the output and a cache for backward.
-    ///
-    /// Thin allocating wrapper over [`Mlp::forward_ws`].
-    pub fn forward(&self, x: &Mat) -> (Mat, MlpCache) {
-        let mut ws = MlpWs::default();
-        self.forward_ws(x, &mut ws);
-        let out = ws.out().clone();
-        (out, MlpCache { x: x.clone(), ws })
     }
 
     /// Allocation-free forward: fused matmul+bias(+ReLU) per layer into the
@@ -89,7 +70,7 @@ impl Mlp {
         }
     }
 
-    /// Inference-only forward (no cache).
+    /// Inference-only forward into a fresh workspace.
     pub fn infer(&self, x: &Mat) -> Mat {
         let mut ws = MlpWs::default();
         self.forward_ws(x, &mut ws);
@@ -102,30 +83,6 @@ impl Mlp {
     pub fn infer_ws<'a>(&self, x: &Mat, ws: &'a mut MlpWs) -> &'a Mat {
         self.forward_ws(x, ws);
         ws.out()
-    }
-
-    /// Backward pass: accumulates parameter gradients, returns the gradient
-    /// w.r.t. the MLP input.
-    ///
-    /// Thin allocating wrapper over [`Mlp::backward_ws`].
-    pub fn backward(&mut self, cache: &MlpCache, grad_out: &Mat) -> Mat {
-        let mut grads: Vec<Mat> = self
-            .grad_shapes()
-            .iter()
-            .map(|&(r, c)| Mat::zeros(r, c))
-            .collect();
-        let mut scratch = Workspace::new();
-        let mut grad_in = Mat::default();
-        self.backward_ws(
-            &cache.x,
-            &cache.ws,
-            grad_out,
-            &mut grads,
-            Some(&mut grad_in),
-            &mut scratch,
-        );
-        self.add_grads(&grads);
-        grad_in
     }
 
     /// Allocation-free backward. Parameter gradients are added into `grads`
@@ -275,9 +232,28 @@ fn two_muts(mats: &mut [Mat], at: usize) -> (&mut Mat, &mut Mat) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::mse;
+    use crate::loss::mse_into;
+    use crate::workspace::GradSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One forward/MSE/backward pass through the workspace API: returns the
+    /// loss, the parameter gradients and the input gradient.
+    fn mse_grads(mlp: &Mlp, x: &Mat, target: &Mat) -> (f32, GradSet, Mat) {
+        let mut ws = MlpWs::default();
+        mlp.forward_ws(x, &mut ws);
+        let mut grad = Mat::default();
+        let loss = mse_into(ws.out(), target, &mut grad);
+        let mut grads = GradSet::from_shapes(&mlp.grad_shapes());
+        let mut gx = Mat::default();
+        let mut scratch = Workspace::new();
+        mlp.backward_ws(x, &ws, &grad, &mut grads.mats, Some(&mut gx), &mut scratch);
+        (loss, grads, gx)
+    }
+
+    fn mse_of(mlp: &Mlp, x: &Mat, target: &Mat) -> f32 {
+        mse_into(&mlp.infer(x), target, &mut Mat::default())
+    }
 
     #[test]
     fn mlp_fits_a_nonlinear_function() {
@@ -295,51 +271,40 @@ mod tests {
                     .map(|i| x.get(i, 0).powi(2) + x.get(i, 1).sin())
                     .collect(),
             );
-            let (y, cache) = mlp.forward(&x);
-            let (_, grad) = mse(&y, &target);
+            let (_, grads, _) = mse_grads(&mlp, &x, &target);
             mlp.zero_grad();
-            mlp.backward(&cache, &grad);
+            mlp.add_grads(&grads.mats);
             t += 1;
             mlp.adam_step(0.01, t, &cfg);
         }
         // Evaluate.
         let x = Mat::randn(64, 2, 1.0, &mut rng);
-        let target: Vec<f32> = (0..64)
-            .map(|i| x.get(i, 0).powi(2) + x.get(i, 1).sin())
-            .collect();
-        let y = mlp.infer(&x);
-        let mse_val: f32 = y
-            .data
-            .iter()
-            .zip(&target)
-            .map(|(a, b)| (a - b).powi(2))
-            .sum::<f32>()
-            / 64.0;
+        let target = Mat::from_vec(
+            64,
+            1,
+            (0..64)
+                .map(|i| x.get(i, 0).powi(2) + x.get(i, 1).sin())
+                .collect(),
+        );
+        let mse_val = mse_of(&mlp, &x, &target);
         assert!(mse_val < 0.1, "mse {mse_val}");
     }
 
     #[test]
     fn gradient_check_through_two_layers() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut mlp = Mlp::new(&[3, 5, 2], &mut rng);
+        let mlp = Mlp::new(&[3, 5, 2], &mut rng);
         let x = Mat::randn(4, 3, 1.0, &mut rng);
         let target = Mat::randn(4, 2, 1.0, &mut rng);
-        let (y, cache) = mlp.forward(&x);
-        let (_, grad) = mse(&y, &target);
-        mlp.zero_grad();
-        let gx = mlp.backward(&cache, &grad);
+        let (_, grads, gx) = mse_grads(&mlp, &x, &target);
 
-        let loss_of = |mlp: &Mlp, x: &Mat| {
-            let y = mlp.infer(x);
-            mse(&y, &target).0
-        };
         let eps = 1e-3;
         for idx in [0usize, 5, 11] {
             let mut xp = x.clone();
             xp.data[idx] += eps;
             let mut xm = x.clone();
             xm.data[idx] -= eps;
-            let num = (loss_of(&mlp, &xp) - loss_of(&mlp, &xm)) / (2.0 * eps);
+            let num = (mse_of(&mlp, &xp, &target) - mse_of(&mlp, &xm, &target)) / (2.0 * eps);
             assert!(
                 (num - gx.data[idx]).abs() < 2e-2,
                 "dX[{idx}] num {num} vs {}",
@@ -352,49 +317,23 @@ mod tests {
             mp.layers[0].w.value.data[idx] += eps;
             let mut mm = mlp.clone();
             mm.layers[0].w.value.data[idx] -= eps;
-            let num = (loss_of(&mp, &x) - loss_of(&mm, &x)) / (2.0 * eps);
-            let ana = mlp.layers[0].w.grad.data[idx];
+            let num = (mse_of(&mp, &x, &target) - mse_of(&mm, &x, &target)) / (2.0 * eps);
+            let ana = grads.mats[0].data[idx];
             assert!((num - ana).abs() < 2e-2, "dW[{idx}] num {num} vs {ana}");
         }
     }
 
     #[test]
-    fn infer_matches_forward() {
+    fn infer_ws_reuses_a_warm_workspace() {
         let mut rng = StdRng::seed_from_u64(5);
         let mlp = Mlp::new(&[4, 8, 2], &mut rng);
-        let x = Mat::randn(3, 4, 1.0, &mut rng);
-        let (y1, _) = mlp.forward(&x);
-        let y2 = mlp.infer(&x);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn workspace_path_matches_wrapper_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut mlp = Mlp::new(&[4, 8, 3, 2], &mut rng);
-        let x = Mat::randn(5, 4, 1.0, &mut rng);
-        let g = Mat::randn(5, 2, 1.0, &mut rng);
-
-        let (y_wrap, cache) = mlp.forward(&x);
-        mlp.zero_grad();
-        let gi_wrap = mlp.backward(&cache, &g);
-        let wrap_grads: Vec<Mat> = mlp.params().iter().map(|p| p.grad.clone()).collect();
-
         let mut ws = MlpWs::default();
-        mlp.forward_ws(&x, &mut ws);
-        assert_eq!(*ws.out(), y_wrap);
-        let mut grads: Vec<Mat> = mlp
-            .grad_shapes()
-            .iter()
-            .map(|&(r, c)| Mat::zeros(r, c))
-            .collect();
-        let mut gi = Mat::default();
-        let mut scratch = Workspace::new();
-        mlp.backward_ws(&x, &ws, &g, &mut grads, Some(&mut gi), &mut scratch);
-        assert_eq!(gi, gi_wrap);
-        for (got, want) in grads.iter().zip(&wrap_grads) {
-            assert_eq!(got, want);
-        }
+        // A larger batch first, so the second call reuses dirty, oversized
+        // buffers.
+        let big = Mat::randn(6, 4, 1.0, &mut rng);
+        assert_eq!(*mlp.infer_ws(&big, &mut ws), mlp.infer(&big));
+        let small = Mat::randn(3, 4, 1.0, &mut rng);
+        assert_eq!(*mlp.infer_ws(&small, &mut ws), mlp.infer(&small));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! per-node convolution is fused (self/left/right dot products + bias +
 //! ReLU in one output pass, no gathered child matrices are materialized)
 //! and every buffer is caller-provided, so a warm training step performs no
-//! heap allocation. The legacy `forward`/`backward` pair delegates to the
-//! same kernels.
+//! heap allocation.
 
 use crate::convsimd::{self, ConvTransposes};
 use crate::kernels::{kernel_mode, KernelMode};
@@ -62,13 +61,6 @@ pub struct TreeConvLayer {
     gen: WeightsGen,
 }
 
-/// Cache for the backward pass of one layer.
-#[derive(Debug, Clone)]
-pub struct TreeConvCache {
-    input: Mat,
-    out: Mat,
-}
-
 impl TreeConvLayer {
     /// He-initialized layer mapping `in_dim` → `out_dim`.
     pub fn new<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
@@ -87,22 +79,8 @@ impl TreeConvLayer {
         self.w_self.value.rows
     }
 
-    /// Forward over all nodes at once (`x`: nodes×in).
-    ///
-    /// Thin allocating wrapper over [`TreeConvLayer::forward_ws`].
-    pub fn forward(&self, x: &Mat, tree: &TreeStructure) -> (Mat, TreeConvCache) {
-        let mut out = Mat::default();
-        self.forward_ws(x, tree, &mut out);
-        (
-            out.clone(),
-            TreeConvCache {
-                input: x.clone(),
-                out,
-            },
-        )
-    }
-
-    /// Fused allocation-free forward: for each node, the self/left/right
+    /// Forward over all nodes at once (`x`: nodes×in), fused and
+    /// allocation-free: for each node, the self/left/right
     /// dot products, bias, and ReLU happen in one pass over the output row —
     /// no gathered child matrices are materialized. Missing children
     /// contribute nothing (a zero row's dot product). Row-parallel above the
@@ -228,37 +206,11 @@ impl TreeConvLayer {
         });
     }
 
-    /// Backward: accumulates parameter grads, returns grad w.r.t. `x`.
-    ///
-    /// Thin allocating wrapper over [`TreeConvLayer::backward_ws`].
-    pub fn backward(&mut self, cache: &TreeConvCache, tree: &TreeStructure, grad_out: &Mat) -> Mat {
-        let mut grads: Vec<Mat> = self
-            .grad_shapes()
-            .iter()
-            .map(|&(r, c)| Mat::zeros(r, c))
-            .collect();
-        let mut scratch = Workspace::new();
-        let mut grad_x = Mat::default();
-        self.backward_ws(
-            &cache.input,
-            &cache.out,
-            tree,
-            grad_out,
-            &mut grads,
-            Some(&mut grad_x),
-            &mut scratch,
-        );
-        for (p, g) in self.params_mut().into_iter().zip(&grads) {
-            p.grad.add_assign(g);
-        }
-        grad_x
-    }
-
     /// Allocation-free backward. `h` is the forward output (its zeros mask
     /// the ReLU); per-parameter gradients go into zeroed scratch first and
-    /// are then added to `grads` (layout per [`TreeConvLayer::grad_shapes`]),
-    /// keeping one accumulation order for wrapper and workspace callers.
-    /// Skipping `grad_in` skips the three input-gradient matmuls entirely —
+    /// are then added to `grads` (layout per [`TreeConvLayer::grad_shapes`]).
+    /// `grad_in`, when requested, is overwritten with the gradient w.r.t.
+    /// `x`; skipping it skips the three input-gradient matmuls entirely —
     /// the first layer of an encoder never needs them.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_ws(
@@ -526,13 +478,6 @@ impl TcnWs {
     }
 }
 
-/// Backward cache for one encoded tree.
-#[derive(Debug, Clone)]
-pub struct TcnCache {
-    x: Mat,
-    ws: TcnWs,
-}
-
 /// Reusable buffers for [`Tcn::forward_forest_stacked_ws`]: the stacked
 /// (unpadded) node matrix and offset tree structure of the whole batch, the shared convolution
 /// activations, and the per-tree pooled/embedding rows. One warm instance
@@ -660,18 +605,9 @@ impl Tcn {
         self.proj.out_dim()
     }
 
-    /// Encodes one tree (`x`: nodes×in) into a 1×emb embedding.
-    ///
-    /// Thin allocating wrapper over [`Tcn::forward_ws`].
-    pub fn forward(&self, x: &Mat, tree: &TreeStructure) -> (Mat, TcnCache) {
-        let mut ws = TcnWs::default();
-        self.forward_ws(x, tree, &mut ws);
-        let emb = ws.emb.clone();
-        (emb, TcnCache { x: x.clone(), ws })
-    }
-
-    /// Allocation-free encoding into the workspace's reusable buffers; the
-    /// embedding lands in `ws.emb()`.
+    /// Encodes one tree (`x`: nodes×in) into a 1×emb embedding, allocation
+    /// free: every activation lives in the workspace's reusable buffers and
+    /// the embedding lands in `ws.emb()`.
     pub fn forward_ws(&self, x: &Mat, tree: &TreeStructure, ws: &mut TcnWs) {
         let TcnWs {
             h1,
@@ -784,40 +720,11 @@ impl Tcn {
         self.proj.forward_into(pooled, emb);
     }
 
-    /// Backward from an embedding gradient; accumulates parameter grads.
-    ///
-    /// Thin allocating wrapper over the workspace kernels that preserves the
-    /// legacy engine's full cost profile: it also computes conv1's input
-    /// gradient (into discarded scratch), exactly as the original
-    /// per-layer `backward` chain did — three matmuls plus two scatters per
-    /// tree that the `_ws` training path skips.
-    pub fn backward(&mut self, cache: &TcnCache, tree: &TreeStructure, grad_emb: &Mat) {
-        let mut grads: Vec<Mat> = self
-            .grad_shapes()
-            .iter()
-            .map(|&(r, c)| Mat::zeros(r, c))
-            .collect();
-        let mut scratch = Workspace::new();
-        let (x, ws) = (&cache.x, &cache.ws);
-        self.backward_ws_with(
-            tree,
-            ws,
-            grad_emb,
-            &mut grads,
-            &mut scratch,
-            |conv1, grad_h1, g1, scratch| {
-                scratch.with(x.rows, x.cols, |scratch, gx| {
-                    conv1.backward_ws(x, &ws.h1, tree, grad_h1, g1, Some(gx), scratch);
-                });
-            },
-        );
-        self.add_grads(&grads);
-    }
-
-    /// Allocation-free backward: parameter gradients are added into `grads`
-    /// (layout per [`Tcn::grad_shapes`]). The first conv layer's input
-    /// gradient is never computed — the encoder input needs no gradient, and
-    /// the legacy path wasted three matmuls plus two scatters per tree on it.
+    /// Backward from an embedding gradient, allocation free: parameter
+    /// gradients are added into `grads` (layout per [`Tcn::grad_shapes`]).
+    /// The first conv layer's input gradient is never computed — the encoder
+    /// input needs no gradient. Training runs [`Tcn::backward_ws_sparse`];
+    /// this dense form is the oracle it is tested against.
     pub fn backward_ws(
         &self,
         x: &Mat,
@@ -983,7 +890,9 @@ impl Tcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::mse;
+    use crate::loss::mse_into;
+    use crate::mlp::{Mlp, MlpWs};
+    use crate::workspace::GradSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1011,7 +920,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let tcn = Tcn::new(6, 8, 4, 3, &mut rng);
         let x = Mat::randn(3, 6, 1.0, &mut rng);
-        let (emb, _) = tcn.forward(&x, &tiny_tree());
+        let emb = tcn.infer(&x, &tiny_tree());
         assert_eq!((emb.rows, emb.cols), (1, 3));
     }
 
@@ -1198,20 +1107,26 @@ mod tests {
     #[test]
     fn gradient_check_through_the_whole_encoder() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut tcn = Tcn::new(4, 6, 5, 2, &mut rng);
+        let tcn = Tcn::new(4, 6, 5, 2, &mut rng);
         let tree = tiny_tree();
         let x = Mat::randn(3, 4, 1.0, &mut rng);
         let target = Mat::randn(1, 2, 1.0, &mut rng);
 
-        let (emb, cache) = tcn.forward(&x, &tree);
-        let (_, grad) = mse(&emb, &target);
-        tcn.zero_grad();
-        tcn.backward(&cache, &tree, &grad);
+        let mut ws = TcnWs::default();
+        tcn.forward_ws(&x, &tree, &mut ws);
+        let mut grad = Mat::default();
+        mse_into(ws.emb(), &target, &mut grad);
+        let mut grads = GradSet::from_shapes(&tcn.grad_shapes());
+        tcn.backward_ws(
+            &x,
+            &tree,
+            &ws,
+            &grad,
+            &mut grads.mats,
+            &mut Workspace::new(),
+        );
 
-        let loss_of = |tcn: &Tcn| {
-            let e = tcn.infer(&x, &tree);
-            mse(&e, &target).0
-        };
+        let loss_of = |tcn: &Tcn| mse_into(&tcn.infer(&x, &tree), &target, &mut Mat::default());
         let eps = 1e-2;
         // Check a few first-layer weights (hardest path: conv1 → conv2 →
         // pool → proj).
@@ -1221,42 +1136,11 @@ mod tests {
             let mut tm = tcn.clone();
             tm.conv1.w_left.value.data[idx] -= eps;
             let num = (loss_of(&tp) - loss_of(&tm)) / (2.0 * eps);
-            let ana = tcn.conv1.w_left.grad.data[idx];
+            let ana = grads.mats[1].data[idx];
             assert!(
                 (num - ana).abs() < 5e-2,
                 "conv1.w_left[{idx}] num {num} vs ana {ana}"
             );
-        }
-    }
-
-    #[test]
-    fn workspace_path_matches_wrapper_bitwise() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut tcn = Tcn::new(5, 7, 6, 3, &mut rng);
-        let tree = TreeStructure {
-            left: vec![Some(1), Some(3), None, None, None],
-            right: vec![Some(2), Some(4), None, None, None],
-        };
-        let x = Mat::randn(5, 5, 1.0, &mut rng);
-        let g = Mat::randn(1, 3, 1.0, &mut rng);
-
-        let (emb_wrap, cache) = tcn.forward(&x, &tree);
-        tcn.zero_grad();
-        tcn.backward(&cache, &tree, &g);
-        let wrap_grads: Vec<Mat> = tcn.params().iter().map(|p| p.grad.clone()).collect();
-
-        let mut ws = TcnWs::default();
-        tcn.forward_ws(&x, &tree, &mut ws);
-        assert_eq!(*ws.emb(), emb_wrap);
-        let mut grads: Vec<Mat> = tcn
-            .grad_shapes()
-            .iter()
-            .map(|&(r, c)| Mat::zeros(r, c))
-            .collect();
-        let mut scratch = Workspace::new();
-        tcn.backward_ws(&x, &tree, &ws, &g, &mut grads, &mut scratch);
-        for (got, want) in grads.iter().zip(&wrap_grads) {
-            assert_eq!(got, want);
         }
     }
 
@@ -1310,18 +1194,31 @@ mod tests {
         // The conv input gradient feeds conv1 during stacked backward; check
         // it against finite differences through a single layer.
         let mut rng = StdRng::seed_from_u64(9);
-        let mut layer = TreeConvLayer::new(4, 3, &mut rng);
+        let layer = TreeConvLayer::new(4, 3, &mut rng);
         let tree = tiny_tree();
         let x = Mat::randn(3, 4, 1.0, &mut rng);
         let target = Mat::randn(3, 3, 1.0, &mut rng);
-        let (h, cache) = layer.forward(&x, &tree);
-        let (_, grad) = mse(&h, &target);
-        layer.zero_grad();
-        let gx = layer.backward(&cache, &tree, &grad);
+        let mut h = Mat::default();
+        layer.forward_ws(&x, &tree, &mut h);
+        let mut grad = Mat::default();
+        mse_into(&h, &target, &mut grad);
+        let mut grads = GradSet::from_shapes(&layer.grad_shapes());
+        let mut gx = Mat::default();
+        let mut scratch = Workspace::new();
+        layer.backward_ws(
+            &x,
+            &h,
+            &tree,
+            &grad,
+            &mut grads.mats,
+            Some(&mut gx),
+            &mut scratch,
+        );
 
         let loss_of = |x: &Mat| {
-            let (h, _) = layer.forward(x, &tree);
-            mse(&h, &target).0
+            let mut h = Mat::default();
+            layer.forward_ws(x, &tree, &mut h);
+            mse_into(&h, &target, &mut Mat::default())
         };
         let eps = 1e-2;
         for idx in [0usize, 5, 9] {
@@ -1343,8 +1240,13 @@ mod tests {
         // Trees whose label is the number of nodes with feature[0] = 1.
         let mut rng = StdRng::seed_from_u64(5);
         let mut tcn = Tcn::new(3, 16, 8, 4, &mut rng);
-        let mut head = Linear::new(4, 1, &mut rng);
+        let mut head = Mlp::new(&[4, 1], &mut rng);
         let cfg = AdamConfig::default();
+        let (mut ws, mut head_ws) = (TcnWs::default(), MlpWs::default());
+        let mut tcn_grads = GradSet::from_shapes(&tcn.grad_shapes());
+        let mut head_grads = GradSet::from_shapes(&head.grad_shapes());
+        let (mut g, mut gemb) = (Mat::default(), Mat::default());
+        let mut scratch = Workspace::new();
 
         let make_tree = |rng: &mut StdRng| {
             // Left-deep chain of 4..7 nodes.
@@ -1381,19 +1283,27 @@ mod tests {
 
         let mut t = 0;
         for _ in 0..400 {
-            tcn.zero_grad();
-            head.zero_grad();
-            let mut loss_sum = 0.0;
+            tcn_grads.zero();
+            head_grads.zero();
             for _ in 0..8 {
                 let (x, tree, label) = make_tree(&mut rng);
-                let (emb, cache) = tcn.forward(&x, &tree);
-                let pred = head.forward(&emb);
-                let (l, g) = mse(&pred, &Mat::from_vec(1, 1, vec![label]));
-                loss_sum += l;
-                let gemb = head.backward(&emb, &g);
-                tcn.backward(&cache, &tree, &gemb);
+                tcn.forward_ws(&x, &tree, &mut ws);
+                head.forward_ws(ws.emb(), &mut head_ws);
+                mse_into(head_ws.out(), &Mat::from_vec(1, 1, vec![label]), &mut g);
+                head.backward_ws(
+                    ws.emb(),
+                    &head_ws,
+                    &g,
+                    &mut head_grads.mats,
+                    Some(&mut gemb),
+                    &mut scratch,
+                );
+                tcn.backward_ws(&x, &tree, &ws, &gemb, &mut tcn_grads.mats, &mut scratch);
             }
-            let _ = loss_sum;
+            tcn.zero_grad();
+            head.zero_grad();
+            tcn.add_grads(&tcn_grads.mats);
+            head.add_grads(&head_grads.mats);
             t += 1;
             tcn.adam_step(0.005, t, &cfg);
             head.adam_step(0.005, t, &cfg);
@@ -1403,7 +1313,7 @@ mod tests {
         let mut err = 0.0;
         for _ in 0..50 {
             let (x, tree, label) = make_tree(&mut rng);
-            let pred = head.forward(&tcn.infer(&x, &tree)).data[0];
+            let pred = head.infer(&tcn.infer(&x, &tree)).data[0];
             err += (pred - label).abs();
         }
         err /= 50.0;

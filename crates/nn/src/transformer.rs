@@ -4,12 +4,11 @@
 //! Nodes are treated as a sequence (pre-order), passed through one
 //! self-attention block with a residual connection and a two-layer
 //! feed-forward, mean-pooled, and projected to the embedding. The
-//! workspace (`_ws`) pair reuses caller-provided buffers; the legacy
-//! `forward`/`backward` pair delegates to it.
+//! `forward_ws`/`backward_ws` pair reuses caller-provided buffers.
 
 use crate::linear::{softmax_rows_into, Linear};
 use crate::mat::{run_row_blocked, Mat};
-use crate::param::AdamConfig;
+use crate::param::{AdamConfig, Param};
 use crate::workspace::Workspace;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -54,13 +53,6 @@ impl TransformerWs {
     }
 }
 
-/// Backward cache.
-#[derive(Debug, Clone)]
-pub struct TransformerCache {
-    x: Mat,
-    ws: TransformerWs,
-}
-
 impl Transformer {
     /// Builds an encoder with model width `d` and embedding width `emb`.
     pub fn new<R: Rng>(in_dim: usize, d: usize, emb_dim: usize, rng: &mut R) -> Self {
@@ -76,17 +68,9 @@ impl Transformer {
         }
     }
 
-    /// Encodes a node sequence (`x`: nodes×in) into a 1×emb embedding.
-    ///
-    /// Thin allocating wrapper over [`Transformer::forward_ws`].
-    pub fn forward(&self, x: &Mat) -> (Mat, TransformerCache) {
-        let mut ws = TransformerWs::default();
-        self.forward_ws(x, &mut ws);
-        let emb = ws.emb.clone();
-        (emb, TransformerCache { x: x.clone(), ws })
-    }
-
-    /// Allocation-free encoding into the workspace's reusable buffers.
+    /// Encodes a node sequence (`x`: nodes×in) into a 1×emb embedding
+    /// (`ws.emb()`), allocation free: every activation lives in the
+    /// workspace's reusable buffers.
     pub fn forward_ws(&self, x: &Mat, ws: &mut TransformerWs) {
         let TransformerWs {
             h0,
@@ -137,15 +121,8 @@ impl Transformer {
         ws.emb
     }
 
-    /// Backward from an embedding gradient; accumulates parameter grads.
-    ///
-    /// Thin allocating wrapper over [`Transformer::backward_ws`].
-    pub fn backward(&mut self, c: &TransformerCache, grad_emb: &Mat) {
-        let mut scratch = Workspace::new();
-        self.backward_ws(&c.x, &c.ws, grad_emb, &mut scratch);
-    }
-
-    /// Allocation-free backward; every intermediate lives in `scratch`.
+    /// Backward from an embedding gradient; accumulates directly into the
+    /// parameter gradients. Every intermediate lives in `scratch`.
     pub fn backward_ws(
         &mut self,
         x: &Mat,
@@ -284,38 +261,9 @@ impl Transformer {
         });
     }
 
-    /// Clears all gradients.
-    pub fn zero_grad(&mut self) {
-        for l in [
-            &mut self.in_proj,
-            &mut self.wq,
-            &mut self.wk,
-            &mut self.wv,
-            &mut self.ff1,
-            &mut self.ff2,
-            &mut self.out_proj,
-        ] {
-            l.zero_grad();
-        }
-    }
-
-    /// Adam step on all parameters.
-    pub fn adam_step(&mut self, lr: f32, t: u64, cfg: &AdamConfig) {
-        for l in [
-            &mut self.in_proj,
-            &mut self.wq,
-            &mut self.wk,
-            &mut self.wv,
-            &mut self.ff1,
-            &mut self.ff2,
-            &mut self.out_proj,
-        ] {
-            l.adam_step(lr, t, cfg);
-        }
-    }
-
-    /// Scalar parameter count.
-    pub fn param_count(&self) -> usize {
+    /// The layers in order: input projection, q/k/v, feed-forward, output
+    /// projection.
+    fn layers(&self) -> [&Linear; 7] {
         [
             &self.in_proj,
             &self.wq,
@@ -325,16 +273,53 @@ impl Transformer {
             &self.ff2,
             &self.out_proj,
         ]
-        .iter()
-        .map(|l| l.param_count())
-        .sum()
+    }
+
+    /// [`Transformer::layers`], mutably.
+    fn layers_mut(&mut self) -> [&mut Linear; 7] {
+        [
+            &mut self.in_proj,
+            &mut self.wq,
+            &mut self.wk,
+            &mut self.wv,
+            &mut self.ff1,
+            &mut self.ff2,
+            &mut self.out_proj,
+        ]
+    }
+
+    /// Clears all gradients.
+    pub fn zero_grad(&mut self) {
+        self.layers_mut().into_iter().for_each(Linear::zero_grad);
+    }
+
+    /// Adam step on all parameters.
+    pub fn adam_step(&mut self, lr: f32, t: u64, cfg: &AdamConfig) {
+        for l in self.layers_mut() {
+            l.adam_step(lr, t, cfg);
+        }
+    }
+
+    /// Parameters in layer order, each layer's weight before its bias.
+    pub fn params(&self) -> Vec<&Param> {
+        self.layers()
+            .into_iter()
+            .flat_map(|l| [&l.w, &l.b])
+            .collect()
+    }
+
+    /// Scalar parameter count.
+    pub fn param_count(&self) -> usize {
+        self.layers().iter().map(|l| l.param_count()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::mse;
+    use crate::loss::mse_into;
+    use crate::mlp::{Mlp, MlpWs};
+    use crate::workspace::GradSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -343,26 +328,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let tr = Transformer::new(5, 8, 3, &mut rng);
         let x = Mat::randn(4, 5, 1.0, &mut rng);
-        let (emb, _) = tr.forward(&x);
+        let emb = tr.infer(&x);
         assert_eq!((emb.rows, emb.cols), (1, 3));
     }
 
     #[test]
-    fn workspace_forward_reuses_buffers_and_matches_wrapper() {
+    fn workspace_forward_reuses_buffers() {
         let mut rng = StdRng::seed_from_u64(7);
         let tr = Transformer::new(5, 8, 3, &mut rng);
         let mut ws = TransformerWs::default();
         // Larger input first so the second call reuses dirty, oversized
-        // buffers.
-        let big = Mat::randn(6, 5, 1.0, &mut rng);
-        self_check(&tr, &big, &mut ws);
-        let small = Mat::randn(2, 5, 1.0, &mut rng);
-        self_check(&tr, &small, &mut ws);
-
-        fn self_check(tr: &Transformer, x: &Mat, ws: &mut TransformerWs) {
-            let (emb, _) = tr.forward(x);
-            tr.forward_ws(x, ws);
-            assert_eq!(emb.data, ws.emb().data);
+        // buffers; each must match a forward into a fresh workspace.
+        for rows in [6, 2] {
+            let x = Mat::randn(rows, 5, 1.0, &mut rng);
+            tr.forward_ws(&x, &mut ws);
+            assert_eq!(*ws.emb(), tr.infer(&x));
         }
     }
 
@@ -372,12 +352,14 @@ mod tests {
         let mut tr = Transformer::new(4, 6, 2, &mut rng);
         let x = Mat::randn(3, 4, 1.0, &mut rng);
         let target = Mat::randn(1, 2, 1.0, &mut rng);
-        let (emb, cache) = tr.forward(&x);
-        let (_, grad) = mse(&emb, &target);
+        let mut ws = TransformerWs::default();
+        tr.forward_ws(&x, &mut ws);
+        let mut grad = Mat::default();
+        mse_into(ws.emb(), &target, &mut grad);
         tr.zero_grad();
-        tr.backward(&cache, &grad);
+        tr.backward_ws(&x, &ws, &grad, &mut Workspace::new());
 
-        let loss_of = |tr: &Transformer| mse(&tr.infer(&x), &target).0;
+        let loss_of = |tr: &Transformer| mse_into(&tr.infer(&x), &target, &mut Mat::default());
         let eps = 1e-2;
         for idx in [0usize, 3] {
             // Query projection weights exercise the softmax backward.
@@ -407,20 +389,33 @@ mod tests {
     fn transformer_fits_sequence_sum() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut tr = Transformer::new(2, 8, 4, &mut rng);
-        let mut head = Linear::new(4, 1, &mut rng);
+        let mut head = Mlp::new(&[4, 1], &mut rng);
         let cfg = AdamConfig::default();
+        let (mut ws, mut head_ws) = (TransformerWs::default(), MlpWs::default());
+        let mut head_grads = GradSet::from_shapes(&head.grad_shapes());
+        let (mut grad, mut gemb) = (Mat::default(), Mat::default());
+        let mut scratch = Workspace::new();
         let mut t = 0;
         for _ in 0..800 {
             let n = rng.gen_range(3..6usize);
             let x = Mat::randn(n, 2, 1.0, &mut rng);
             let label: f32 = (0..n).map(|i| x.get(i, 0)).sum();
-            let (emb, cache) = tr.forward(&x);
-            let pred = head.forward(&emb);
-            let (_, grad) = mse(&pred, &Mat::from_vec(1, 1, vec![label]));
+            tr.forward_ws(&x, &mut ws);
+            head.forward_ws(ws.emb(), &mut head_ws);
+            mse_into(head_ws.out(), &Mat::from_vec(1, 1, vec![label]), &mut grad);
             tr.zero_grad();
             head.zero_grad();
-            let gemb = head.backward(&emb, &grad);
-            tr.backward(&cache, &gemb);
+            head_grads.zero();
+            head.backward_ws(
+                ws.emb(),
+                &head_ws,
+                &grad,
+                &mut head_grads.mats,
+                Some(&mut gemb),
+                &mut scratch,
+            );
+            head.add_grads(&head_grads.mats);
+            tr.backward_ws(&x, &ws, &gemb, &mut scratch);
             t += 1;
             tr.adam_step(0.005, t, &cfg);
             head.adam_step(0.005, t, &cfg);
@@ -430,7 +425,7 @@ mod tests {
             let n = rng.gen_range(3..6usize);
             let x = Mat::randn(n, 2, 1.0, &mut rng);
             let label: f32 = (0..n).map(|i| x.get(i, 0)).sum();
-            let pred = head.forward(&tr.infer(&x)).data[0];
+            let pred = head.infer(&tr.infer(&x)).data[0];
             err += (pred - label).abs();
         }
         err /= 40.0;
